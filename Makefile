@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race check bench bench-baseline bench-scale bench-sweep cache-smoke fmt figures profile-smoke scale-smoke fuzz-smoke diffcheck-smoke vet-corpus telemetry-smoke sched-smoke repair-smoke
+.PHONY: all build test vet race check bench bench-baseline bench-scale bench-sweep fmt figures profile-smoke scale-smoke fuzz-smoke diffcheck-smoke vet-corpus telemetry-smoke sched-smoke repair-smoke
 
 all: build
 
@@ -34,7 +34,6 @@ check:
 	$(MAKE) fuzz-smoke
 	$(MAKE) diffcheck-smoke
 	$(MAKE) vet-corpus
-	$(MAKE) cache-smoke
 	$(MAKE) telemetry-smoke
 	$(MAKE) sched-smoke
 	$(MAKE) repair-smoke
@@ -137,59 +136,37 @@ bench-scale:
 		-gate "bench.GPUScale/sm8-sharded.total_sm_cycles <= 1" \
 		-gate "bench.GPUScale/sm8-sharded.ns_per_op <= 1.5"
 
-# cache-smoke proves the compile cache is both used and invisible: the
-# vetter walks a 120-kernel compiled corpus twice with the cache on —
-# the second pass must be pure hits (stats JSON, enforced at exit-code
-# level by -min-cache-hits) — and once more without the cache, and the
-# two SARIF reports must be byte-identical: memoized compilation may
-# never change a diagnostic.
-cache-smoke:
-	rm -rf /tmp/specrecon-cache-smoke
-	mkdir -p /tmp/specrecon-cache-smoke
-	$(GO) run ./cmd/sasmvet -q -compiled -corpus 120 -corpus-seed 42 \
-		-compile-cache -repeat 2 -min-cache-hits 120 \
-		-cache-stats /tmp/specrecon-cache-smoke/stats.json \
-		-sarif /tmp/specrecon-cache-smoke/cached.sarif
-	$(GO) run ./cmd/sasmvet -q -compiled -corpus 120 -corpus-seed 42 \
-		-sarif /tmp/specrecon-cache-smoke/fresh.sarif
-	cmp /tmp/specrecon-cache-smoke/cached.sarif /tmp/specrecon-cache-smoke/fresh.sarif
-	$(GO) run ./cmd/jsoncheck /tmp/specrecon-cache-smoke/stats.json
-	rm -rf /tmp/specrecon-cache-smoke
-
 # bench-sweep refreshes BENCH_7.json: the sweep-scale capture behind the
-# compile cache, the reusable launch arenas and copy-on-write SM memory.
-# A smoke pass first, then a timed pass converted to JSON against the
-# committed pre-optimization capture (testdata/bench_sweep_pre.txt), then
+# reusable launch arenas and copy-on-write SM memory. A smoke pass first,
+# then a timed pass converted to JSON against the committed
+# pre-optimization capture (testdata/bench_sweep_pre.txt), then
 # benchguard enforces the acceptance ratios from the committed JSON:
-# repeated same-compilation launches allocate >=5x less, the 8-SM bench's
-# bytes/op is decoupled from the 512 KiB memory image, and the cached
-# corpus sweep beats fresh compilation on wall clock. The long -benchtime
-# amortizes one-time Machine construction into the per-op numbers.
+# repeated same-compilation launches allocate >=5x less and the 8-SM
+# bench's bytes/op is decoupled from the 512 KiB memory image. The long
+# -benchtime amortizes one-time Machine construction into the per-op
+# numbers.
 bench-sweep:
-	$(GO) test -run '^$$' -bench 'BenchmarkGPUScale|BenchmarkLaunchReuse|BenchmarkCorpusSweep' -benchtime=1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkGPUScale|BenchmarkLaunchReuse|BenchmarkCorpusSweep' -benchtime=20x -benchmem . | tee bench_sweep_post.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkGPUScale|BenchmarkLaunchReuse' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkGPUScale|BenchmarkLaunchReuse' -benchtime=20x -benchmem . | tee bench_sweep_post.txt
 	$(GO) run ./cmd/benchjson -in bench_sweep_post.txt \
 		-pre testdata/bench_sweep_pre.txt \
-		-note "pre = commit before the sweep-scale layer (fresh Run and direct compilation per point); post = Machine reuse + CoW SM memory + compile cache. LaunchReuse relaunches one compilation via specrecon.Machine; CorpusSweep re-diagnoses 40 corpus apps x 3 option sets through the content-addressed cache. Single-core container: wins come from allocation and copy elimination, not parallelism." \
+		-note "pre = commit before the sweep-scale layer (fresh Run per point); post = Machine reuse + CoW SM memory. LaunchReuse relaunches one compilation via specrecon.Machine. Single-core container: wins come from allocation and copy elimination, not parallelism." \
 		-out BENCH_7.json
 	$(GO) run ./cmd/benchguard -in BENCH_7.json \
 		-assert "LaunchReuse/flat allocs_ratio <= 0.2" \
 		-assert "LaunchReuse/sm8 allocs_ratio <= 0.2" \
 		-assert "LaunchReuse/sm8 bytes_ratio <= 0.5" \
-		-assert "GPUScale/sm8-sharded bytes_ratio <= 0.85" \
-		-assert "CorpusSweep/apps40 speedup >= 2" \
-		-assert "CorpusSweep/apps40 allocs_ratio <= 0.25"
+		-assert "GPUScale/sm8-sharded bytes_ratio <= 0.85"
 	rm -f bench_sweep_post.txt
 	$(GO) run ./cmd/perfledger -ledger runs.jsonl -append -tool bench-sweep \
 		-from-bench BENCH_7.json
 	$(GO) run ./cmd/perfledger -ledger runs.jsonl -check -tool bench-sweep -last 5 \
 		-gate "bench.LaunchReuse/flat.allocs_per_op <= 1" \
-		-gate "bench.LaunchReuse/sm8.bytes_per_op <= 1.1" \
-		-gate "bench.CorpusSweep/apps40.ns_per_op <= 1.5"
+		-gate "bench.LaunchReuse/sm8.bytes_per_op <= 1.1"
 
 # telemetry-smoke exercises the fleet-telemetry layer end to end. A grid
-# workload runs with the per-SM occupancy sampler, the compile cache and
-# the telemetry snapshot attached; the snapshot and the trace (now
+# workload runs with the per-SM occupancy sampler and the telemetry
+# snapshot attached; the snapshot and the trace (now
 # carrying SM occupancy counter tracks) must be well-formed JSON. The
 # Go-side coverage — registry/exporters/HTTP scrape, worker-pool
 # instrumentation, sampler attribution — runs under -race. The
@@ -202,7 +179,7 @@ telemetry-smoke:
 	mkdir -p /tmp/specrecon-telemetry-smoke
 	$(GO) run ./cmd/specrecon -kernel rsbench -mode spec \
 		-grid 8 -ctasize 64 -sms 4 -workers 2 \
-		-sample-stride 64 -compile-cache \
+		-sample-stride 64 \
 		-telemetry-json /tmp/specrecon-telemetry-smoke/metrics.json \
 		-trace-out /tmp/specrecon-telemetry-smoke/trace.json
 	$(GO) run ./cmd/jsoncheck \
@@ -280,8 +257,7 @@ repair-smoke:
 		testdata/repair/listing1.sasm
 	! $(GO) run ./cmd/sasmvet -q -compiled -inject drop-wait@1 -fix \
 		testdata/repair/listing1.sasm
-	$(GO) run ./cmd/diffhunt -repair -n 120 -seed 42 -compile-cache \
-		-ledger runs.jsonl
+	$(GO) run ./cmd/diffhunt -repair -n 120 -seed 42 -ledger runs.jsonl
 	$(GO) run ./cmd/perfledger -ledger runs.jsonl -check -tool diffhunt-repair -last 5 \
 		-gate "repair_fallback_rate <= 1.05" \
 		-gate "findings <= 1" \

@@ -24,7 +24,6 @@ import (
 	"testing"
 
 	"specrecon"
-	"specrecon/internal/corpus"
 )
 
 // runOnce compiles and simulates one build of a workload instance.
@@ -467,37 +466,6 @@ func BenchmarkLaunchReuse(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := m.Run(cfg); err != nil {
 				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkCorpusSweep measures a diagnostics sweep over a synthetic
-// corpus — 40 generated applications, each compiled under the baseline
-// and two speculative threshold points — through the content-addressed
-// compile cache. The pre capture ran the identical sweep with direct
-// compilation; with the cache installed, every iteration after the first
-// is pure hits, so ns/op converges to the lookup cost and the pre/post
-// ratio is the per-point compile tax a threshold study stops paying.
-func BenchmarkCorpusSweep(b *testing.B) {
-	b.Run("apps40", func(b *testing.B) {
-		apps := corpus.Generate(40, 42)
-		at := func(t int) specrecon.CompileOptions {
-			o := specrecon.SpecReconOptions()
-			o.ThresholdOverride = t
-			return o
-		}
-		variants := []specrecon.CompileOptions{specrecon.BaselineOptions(), at(8), at(24)}
-		cache := specrecon.NewCompileCache(0)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, app := range apps {
-				for _, opts := range variants {
-					if _, err := cache.Diagnose(app.Module, opts); err != nil {
-						b.Fatal(err)
-					}
-				}
 			}
 		}
 	})

@@ -25,96 +25,96 @@
 // injected fault was detected as expected; 1 otherwise. Kernels whose
 // baseline build or run fails — possible for structural mutants — are
 // counted as skips, not findings: they indict the input, not the
-// transform.
+// transform. A check that panics is contained and counted as a
+// finding. Usage errors exit 2. Per-kernel lines are printed after the
+// sweep in corpus order, so output does not depend on -j.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"sync"
 
-	"specrecon/internal/ccache"
 	"specrecon/internal/corpus"
 	"specrecon/internal/diffcheck"
+	"specrecon/internal/harness"
 	"specrecon/internal/simt"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command behind main: it parses args, runs the campaign
+// and returns the exit status (2 for a usage error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("diffhunt", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		n          = flag.Int("n", 500, "number of corpus applications to generate")
-		seed       = flag.Uint64("seed", 42, "corpus generation seed")
-		jobs       = flag.Int("j", 0, "parallel workers (0 = GOMAXPROCS)")
-		matrix     = flag.Bool("matrix", false, "also run the fault-injection matrix and require every fault detected")
-		repair     = flag.Bool("repair", false, "run the automated-repair campaign instead of the standard one (matrix + corpus fault plants through repair-then-reverify)")
-		ledgerPath = flag.String("ledger", "", "with -repair, append the campaign record to this runs.jsonl ledger")
-		mutate     = flag.Int("mutate", 0, "additionally check up to this many structural mutants per kernel")
-		maxIssues  = flag.Int64("max-issues", 0, "per-run issue budget (0 = checker default)")
-		repros     = flag.String("repros", "testdata/repros", "directory for minimized .sasm repros of findings")
-		verbose    = flag.Bool("v", false, "print one line per kernel")
-		useCache   = flag.Bool("compile-cache", false, "memoize baseline/speculative compilations across the campaign")
-		cacheStats = flag.String("cache-stats", "", "write compile-cache hit/miss statistics as JSON to this file (\"-\" for stderr)")
-		policy     = flag.String("policy", "maxgroup", "intra-warp group pick for both runs: maxgroup | minpc | roundrobin")
-		sched      = flag.String("sched", "greedy", "warp scheduler for the speculative run: greedy | oldest | youngest | obe | random (cmd/schedhunt sweeps these)")
-		schedSeed  = flag.Uint64("sched-seed", 0, "seed for -sched random")
-		starveLim  = flag.Int64("starve-limit", 0, "arm the starvation monitor on the speculative run with this cycle budget (0 = off)")
+		n          = fs.Int("n", 500, "number of corpus applications to generate")
+		seed       = fs.Uint64("seed", 42, "corpus generation seed")
+		jobs       = fs.Int("j", 0, "parallel workers (0 = GOMAXPROCS)")
+		matrix     = fs.Bool("matrix", false, "also run the fault-injection matrix and require every fault detected")
+		repair     = fs.Bool("repair", false, "run the automated-repair campaign instead of the standard one (matrix + corpus fault plants through repair-then-reverify)")
+		ledgerPath = fs.String("ledger", "", "with -repair, append the campaign record to this runs.jsonl ledger")
+		mutate     = fs.Int("mutate", 0, "additionally check up to this many structural mutants per kernel")
+		maxIssues  = fs.Int64("max-issues", 0, "per-run issue budget (0 = checker default)")
+		repros     = fs.String("repros", "testdata/repros", "directory for minimized .sasm repros of findings")
+		verbose    = fs.Bool("v", false, "print one line per kernel")
+		policy     = fs.String("policy", "maxgroup", "intra-warp group pick for both runs: maxgroup | minpc | roundrobin")
+		sched      = fs.String("sched", "greedy", "warp scheduler for the speculative run: greedy | oldest | youngest | obe | random (cmd/schedhunt sweeps these)")
+		schedSeed  = fs.Uint64("sched-seed", 0, "seed for -sched random")
+		starveLim  = fs.Int64("starve-limit", 0, "arm the starvation monitor on the speculative run with this cycle budget (0 = off)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	pol, err := simt.ParsePolicy(*policy)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "diffhunt:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "diffhunt:", err)
+		return 2
 	}
 	sp, err := simt.ParseSchedPolicy(*sched)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "diffhunt:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "diffhunt:", err)
+		return 2
 	}
 	schedOpts := diffcheck.ReproOpts{Policy: pol, Sched: sp, SchedSeed: *schedSeed, StarveLimit: *starveLim}
 
-	var cache *ccache.Cache
-	if *useCache {
-		cache = ccache.New(0)
-	}
-
+	h := hunt{stdout: stdout, stderr: stderr, jobs: *jobs, maxIssues: *maxIssues, reproDir: *repros, verbose: *verbose}
 	failures := 0
 	if *matrix {
-		failures += runMatrix(*verbose)
+		failures += h.runMatrix()
 	}
 	if *repair {
-		failures += runRepairCampaign(*n, *seed, *jobs, *maxIssues, *repros, *verbose, cache, *ledgerPath)
+		failures += h.runRepairCampaign(*n, *seed, *ledgerPath)
 	} else {
-		failures += runCampaign(*n, *seed, *jobs, *mutate, *maxIssues, schedOpts, *repros, *verbose, cache)
-	}
-
-	if *cacheStats != "" {
-		w := os.Stderr
-		if *cacheStats != "-" {
-			f, err := os.Create(*cacheStats)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "diffhunt: %v\n", err)
-				os.Exit(2)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := cache.WriteStatsJSON(w); err != nil {
-			fmt.Fprintf(os.Stderr, "diffhunt: %v\n", err)
-			os.Exit(2)
-		}
+		failures += h.runCampaign(*n, *seed, *mutate, schedOpts)
 	}
 	if failures > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
+}
+
+// hunt carries the settings every campaign leg shares.
+type hunt struct {
+	stdout, stderr io.Writer
+	jobs           int
+	maxIssues      int64
+	reproDir       string
+	verbose        bool
 }
 
 // runMatrix evaluates the injection matrix and returns the number of
 // faults that escaped or were caught by unexpected layers.
-func runMatrix(verbose bool) int {
+func (h hunt) runMatrix() int {
 	bad := 0
-	fmt.Println("fault-injection matrix:")
+	fmt.Fprintln(h.stdout, "fault-injection matrix:")
 	for _, o := range diffcheck.RunMatrix() {
 		static, dynamic := "-", "-"
 		if o.StaticErr != nil {
@@ -132,109 +132,73 @@ func runMatrix(verbose bool) int {
 			status = "SURFACE MOVED"
 			bad++
 		}
-		fmt.Printf("  %-16s static=%-9s dynamic=%-9s %s\n", o.Fault.Name, static, dynamic, status)
-		if verbose && o.StaticErr != nil {
-			fmt.Printf("    %v\n", o.StaticErr)
+		fmt.Fprintf(h.stdout, "  %-16s static=%-9s dynamic=%-9s %s\n", o.Fault.Name, static, dynamic, status)
+		if h.verbose && o.StaticErr != nil {
+			fmt.Fprintf(h.stdout, "    %v\n", o.StaticErr)
 		}
-		if verbose && !o.Dynamic.OK {
-			fmt.Printf("    %v\n", o.Dynamic.Err)
+		if h.verbose && !o.Dynamic.OK {
+			fmt.Fprintf(h.stdout, "    %v\n", o.Dynamic.Err)
 		}
 	}
 	return bad
 }
 
-type finding struct {
-	kernel diffcheck.Kernel
-	res    diffcheck.Result
-}
-
 // runCampaign checks every corpus kernel (plus mutants when requested)
-// and returns the number of findings.
-func runCampaign(n int, seed uint64, jobs, mutate int, maxIssues int64, schedOpts diffcheck.ReproOpts, reproDir string, verbose bool, cache *ccache.Cache) int {
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
+// and returns the number of findings. A check that panics counts as a
+// finding.
+func (h hunt) runCampaign(n int, seed uint64, mutate int, schedOpts diffcheck.ReproOpts) int {
 	opts := schedOpts.Apply(diffcheck.Options{
-		MaxIssues:    maxIssues,
+		MaxIssues:    h.maxIssues,
 		AutoAnnotate: true,
 		Verify:       true,
-		Cache:        cache,
 	})
 
-	apps := corpus.Generate(n, seed)
-	type job struct {
-		k      diffcheck.Kernel
-		mutant bool
-	}
-	var jobsList []job
-	for _, app := range apps {
-		k := diffcheck.Kernel{
-			Name: app.Name, Module: app.Module, Entry: app.Kernel,
-			Threads: app.Threads, Memory: app.Memory, Seed: app.Seed,
-		}
-		jobsList = append(jobsList, job{k: k})
+	var cells []harness.Cell
+	for _, app := range corpus.Generate(n, seed) {
+		k := harness.CorpusKernel(app)
+		cells = append(cells, harness.Cell{Kernel: k, Opts: opts})
 		for i, m := range diffcheck.Mutations(k) {
 			if i >= mutate {
 				break
 			}
 			m.Name = fmt.Sprintf("%s-mut%d", k.Name, i)
-			jobsList = append(jobsList, job{k: m, mutant: true})
+			cells = append(cells, harness.Cell{Kernel: m, Opts: opts})
 		}
 	}
 
-	var (
-		mu       sync.Mutex
-		findings []finding
-		skips    int
-		checked  int
-	)
-	var wg sync.WaitGroup
-	ch := make(chan job)
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				res := diffcheck.Check(j.k, opts)
-				mu.Lock()
-				checked++
-				switch {
-				case res.OK:
-					if verbose {
-						fmt.Printf("ok   %s\n", j.k.Name)
-					}
-				case res.Stage.BaselineFailure():
-					// The kernel itself is broken (expected for some
-					// mutants): not a speculation finding.
-					skips++
-					if verbose {
-						fmt.Printf("skip %s: %v\n", j.k.Name, res)
-					}
-				default:
-					findings = append(findings, finding{kernel: j.k, res: res})
-					fmt.Printf("FAIL %s: %v\n", j.k.Name, res)
-				}
-				mu.Unlock()
+	skips, findings := 0, 0
+	for i, o := range harness.Check("diffhunt", h.jobs, cells) {
+		name := cells[i].Kernel.Name
+		switch {
+		case o.Res.OK:
+			if h.verbose {
+				fmt.Fprintf(h.stdout, "ok   %s\n", name)
 			}
-		}()
-	}
-	for _, j := range jobsList {
-		ch <- j
-	}
-	close(ch)
-	wg.Wait()
-
-	for _, f := range findings {
-		small, res := diffcheck.Minimize(f.kernel, opts)
-		path, err := diffcheck.WriteRepro(reproDir, small, opts, res)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "diffhunt: writing repro for %s: %v\n", f.kernel.Name, err)
-			continue
+		case o.Res.Stage.BaselineFailure():
+			// The kernel itself is broken (expected for some
+			// mutants): not a speculation finding.
+			skips++
+			if h.verbose {
+				fmt.Fprintf(h.stdout, "skip %s: %v\n", name, o.Res)
+			}
+		default:
+			findings++
+			fmt.Fprintf(h.stdout, "FAIL %s: %v\n", name, o.Res)
+			h.writeRepro(cells[i], o)
 		}
-		fmt.Printf("     repro: %s\n", path)
 	}
 
-	fmt.Printf("diffhunt: %d checked, %d ok, %d skipped, %d findings\n",
-		checked, checked-skips-len(findings), skips, len(findings))
-	return len(findings)
+	fmt.Fprintf(h.stdout, "diffhunt: %d checked, %d ok, %d skipped, %d findings\n",
+		len(cells), len(cells)-skips-findings, skips, findings)
+	return findings
+}
+
+// writeRepro writes the repro of a failed cell and prints its path.
+func (h hunt) writeRepro(c harness.Cell, o harness.Outcome) {
+	path, err := harness.WriteRepro(h.reproDir, c, o)
+	if err != nil {
+		fmt.Fprintf(h.stderr, "diffhunt: writing repro for %s: %v\n", c.Kernel.Name, err)
+		return
+	}
+	fmt.Fprintf(h.stdout, "     repro: %s\n", path)
 }

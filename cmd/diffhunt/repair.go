@@ -1,16 +1,13 @@
 package main
 
 import (
+	"errors"
 	"fmt"
-	"os"
-	"runtime"
-	"strings"
-	"sync"
 
-	"specrecon/internal/ccache"
 	"specrecon/internal/core"
 	"specrecon/internal/corpus"
 	"specrecon/internal/diffcheck"
+	"specrecon/internal/harness"
 	"specrecon/internal/telemetry"
 )
 
@@ -66,22 +63,22 @@ func (s repairStats) postRate() float64 {
 // matrix's WantRepaired column, proof-obligation findings, and a
 // post-repair fallback rate that has not strictly improved on the
 // pre-repair rate.
-func runRepairCampaign(n int, seed uint64, jobs int, maxIssues int64, reproDir string, verbose bool, cache *ccache.Cache, ledgerPath string) int {
+func (h hunt) runRepairCampaign(n int, seed uint64, ledgerPath string) int {
 	var st repairStats
-	st = runRepairMatrix(st, maxIssues, reproDir, verbose, cache)
-	st = runRepairCorpus(st, n, seed, jobs, maxIssues, reproDir, verbose, cache)
+	h.runRepairMatrix(&st)
+	h.runRepairCorpus(&st, n, seed)
 
-	fmt.Printf("diffhunt repair: %d planted, %d repaired, %d fallback, %d quiet, %d skipped, %d mismatches, %d findings\n",
+	fmt.Fprintf(h.stdout, "diffhunt repair: %d planted, %d repaired, %d fallback, %d quiet, %d skipped, %d mismatches, %d findings\n",
 		st.planted, st.repaired, st.fallbacks, st.quiet, st.skips, st.mismatches, st.findings)
-	fmt.Printf("diffhunt repair: fail-safe fallback rate %.1f%% pre-repair -> %.1f%% post-repair\n",
+	fmt.Fprintf(h.stdout, "diffhunt repair: fail-safe fallback rate %.1f%% pre-repair -> %.1f%% post-repair\n",
 		100*st.preRate(), 100*st.postRate())
 
 	failures := st.mismatches + st.findings
 	if st.repaired == 0 {
-		fmt.Println("diffhunt repair: FAIL: no fault was repaired")
+		fmt.Fprintln(h.stdout, "diffhunt repair: FAIL: no fault was repaired")
 		failures++
 	} else if st.postRate() >= st.preRate() {
-		fmt.Println("diffhunt repair: FAIL: fallback rate did not improve")
+		fmt.Fprintln(h.stdout, "diffhunt repair: FAIL: fallback rate did not improve")
 		failures++
 	}
 
@@ -90,7 +87,7 @@ func runRepairCampaign(n int, seed uint64, jobs int, maxIssues int64, reproDir s
 			Time:   telemetry.NowRFC3339(),
 			Tool:   "diffhunt-repair",
 			GitRev: telemetry.GitRev(),
-			Config: telemetry.Fingerprint(map[string]any{"n": n, "seed": seed, "maxIssues": maxIssues}),
+			Config: telemetry.Fingerprint(map[string]any{"n": n, "seed": seed, "maxIssues": h.maxIssues}),
 			Metrics: map[string]float64{
 				"planted":                  float64(st.planted),
 				"repaired":                 float64(st.repaired),
@@ -103,7 +100,7 @@ func runRepairCampaign(n int, seed uint64, jobs int, maxIssues int64, reproDir s
 			},
 		}
 		if err := telemetry.AppendRecord(ledgerPath, rec); err != nil {
-			fmt.Fprintf(os.Stderr, "diffhunt: %v\n", err)
+			fmt.Fprintf(h.stderr, "diffhunt: %v\n", err)
 			failures++
 		}
 	}
@@ -115,8 +112,8 @@ func runRepairCampaign(n int, seed uint64, jobs int, maxIssues int64, reproDir s
 // before the PDOM fail-safe) and holds the outcome against the matrix's
 // WantRepaired column. Repaired builds carry a proof obligation: the
 // differential check against the un-repaired baseline must pass.
-func runRepairMatrix(st repairStats, maxIssues int64, reproDir string, verbose bool, cache *ccache.Cache) repairStats {
-	fmt.Println("repair campaign: fault matrix")
+func (h hunt) runRepairMatrix(st *repairStats) {
+	fmt.Fprintln(h.stdout, "repair campaign: fault matrix")
 	k := diffcheck.MatrixKernel()
 	for _, f := range diffcheck.FaultMatrix() {
 		if !f.WantStatic {
@@ -129,7 +126,7 @@ func runRepairMatrix(st repairStats, maxIssues int64, reproDir string, verbose b
 		opts.Faults = f.Plan
 		sc, err := core.CompileSafe(k.Module, opts)
 		if err != nil {
-			fmt.Printf("  %-16s FAIL: %v\n", f.Name, err)
+			fmt.Fprintf(h.stdout, "  %-16s FAIL: %v\n", f.Name, err)
 			st.findings++
 			continue
 		}
@@ -151,22 +148,21 @@ func runRepairMatrix(st repairStats, maxIssues int64, reproDir string, verbose b
 		}
 		proof := "-"
 		if sc.Repaired != nil {
-			chkOpts := diffcheck.Options{Faults: f.Plan, Verify: true, Repair: true, MaxIssues: maxIssues, Cache: cache}
-			res := diffcheck.Check(k, chkOpts)
+			cell := harness.Cell{Kernel: k, Opts: diffcheck.Options{Faults: f.Plan, Verify: true, Repair: true, MaxIssues: h.maxIssues}}
+			o := harness.Check("diffhunt-repair", 1, []harness.Cell{cell})[0]
 			proof = "verified"
-			if !res.OK {
+			if !o.Res.OK {
 				proof = "REFUTED"
 				status = "PROOF FAILED"
 				st.findings++
-				writeRepairRepro(reproDir, k, chkOpts, res)
+				h.writeRepro(cell, o)
 			}
 		}
-		fmt.Printf("  %-16s %-9s proof=%-9s %s\n", f.Name, outcome, proof, status)
-		if verbose && sc.Repaired != nil {
-			fmt.Printf("    %s\n", sc.Repaired.Report.Summary())
+		fmt.Fprintf(h.stdout, "  %-16s %-9s proof=%-9s %s\n", f.Name, outcome, proof, status)
+		if h.verbose && sc.Repaired != nil {
+			fmt.Fprintf(h.stdout, "    %s\n", sc.Repaired.Report.Summary())
 		}
 	}
-	return st
 }
 
 // runRepairCorpus plants every compile-layer matrix fault plan over the
@@ -174,12 +170,9 @@ func runRepairMatrix(st repairStats, maxIssues int64, reproDir string, verbose b
 // full differential check through the repair pipeline, so a repaired
 // corpus kernel is simultaneously counted and proof-checked. Faults
 // with no target in a given build (corpus kernels vary in barrier
-// layout) are skips, not plants.
-func runRepairCorpus(st repairStats, n int, seed uint64, jobs int, maxIssues int64, reproDir string, verbose bool, cache *ccache.Cache) repairStats {
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	fmt.Printf("repair campaign: corpus (%d applications)\n", n)
+// layout) are skips, not plants. A check that panics is a finding.
+func (h hunt) runRepairCorpus(st *repairStats, n int, seed uint64) {
+	fmt.Fprintf(h.stdout, "repair campaign: corpus (%d applications)\n", n)
 
 	var plans []core.FaultPlan
 	for _, f := range diffcheck.FaultMatrix() {
@@ -187,87 +180,47 @@ func runRepairCorpus(st repairStats, n int, seed uint64, jobs int, maxIssues int
 			plans = append(plans, f.Plan)
 		}
 	}
-
-	type job struct {
-		k    diffcheck.Kernel
-		plan core.FaultPlan
-	}
-	var jobsList []job
+	var cells []harness.Cell
 	for _, app := range corpus.Generate(n, seed) {
-		k := diffcheck.Kernel{
-			Name: app.Name, Module: app.Module, Entry: app.Kernel,
-			Threads: app.Threads, Memory: app.Memory, Seed: app.Seed,
-		}
+		k := harness.CorpusKernel(app)
 		for _, p := range plans {
-			jobsList = append(jobsList, job{k: k, plan: p})
+			cells = append(cells, harness.Cell{Kernel: k, Opts: diffcheck.Options{
+				Faults: p, AutoAnnotate: true, Verify: true, Repair: true, MaxIssues: h.maxIssues,
+			}})
 		}
 	}
 
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	ch := make(chan job)
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				opts := diffcheck.Options{
-					Faults: j.plan, AutoAnnotate: true, Verify: true, Repair: true,
-					MaxIssues: maxIssues, Cache: cache,
-				}
-				res := diffcheck.Check(j.k, opts)
-				mu.Lock()
-				switch {
-				case res.OK && res.Repaired:
-					st.planted++
-					st.repaired++
-					if verbose {
-						fmt.Printf("repair %s [%s]\n", j.k.Name, j.plan)
-					}
-				case res.OK:
-					st.planted++
-					st.quiet++
-					if verbose {
-						fmt.Printf("quiet  %s [%s]\n", j.k.Name, j.plan)
-					}
-				case res.Stage == diffcheck.StageVerify && strings.Contains(fmt.Sprint(res.Err), "module has no"):
-					// The fault had no target in this build: no plant.
-					st.skips++
-				case res.Stage == diffcheck.StageVerify:
-					st.planted++
-					st.fallbacks++
-					if verbose {
-						fmt.Printf("fall   %s [%s]: %v\n", j.k.Name, j.plan, res.Err)
-					}
-				case res.Stage.BaselineFailure():
-					st.skips++
-				default:
-					st.planted++
-					st.findings++
-					fmt.Printf("FAIL %s [%s]: %v\n", j.k.Name, j.plan, res)
-					writeRepairRepro(reproDir, j.k, opts, res)
-				}
-				mu.Unlock()
+	for i, o := range harness.Check("diffhunt-repair", h.jobs, cells) {
+		c, res := cells[i], o.Res
+		switch {
+		case res.OK && res.Repaired:
+			st.planted++
+			st.repaired++
+			if h.verbose {
+				fmt.Fprintf(h.stdout, "repair %s [%s]\n", c.Kernel.Name, c.Opts.Faults)
 			}
-		}()
+		case res.OK:
+			st.planted++
+			st.quiet++
+			if h.verbose {
+				fmt.Fprintf(h.stdout, "quiet  %s [%s]\n", c.Kernel.Name, c.Opts.Faults)
+			}
+		case res.Stage == diffcheck.StageVerify && errors.Is(res.Err, core.ErrNoFaultTarget):
+			// The fault had no target in this build: no plant.
+			st.skips++
+		case res.Stage == diffcheck.StageVerify:
+			st.planted++
+			st.fallbacks++
+			if h.verbose {
+				fmt.Fprintf(h.stdout, "fall   %s [%s]: %v\n", c.Kernel.Name, c.Opts.Faults, res.Err)
+			}
+		case res.Stage.BaselineFailure():
+			st.skips++
+		default:
+			st.planted++
+			st.findings++
+			fmt.Fprintf(h.stdout, "FAIL %s [%s]: %v\n", c.Kernel.Name, c.Opts.Faults, res)
+			h.writeRepro(c, o)
+		}
 	}
-	for _, j := range jobsList {
-		ch <- j
-	}
-	close(ch)
-	wg.Wait()
-	return st
-}
-
-// writeRepairRepro minimizes a failing repaired kernel and writes its
-// standalone repro (the `; repro-repair` directive makes the replay run
-// through the repair pipeline too).
-func writeRepairRepro(reproDir string, k diffcheck.Kernel, opts diffcheck.Options, res diffcheck.Result) {
-	small, mres := diffcheck.Minimize(k, opts)
-	path, err := diffcheck.WriteRepro(reproDir, small, opts, mres)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "diffhunt: writing repro for %s: %v\n", k.Name, err)
-		return
-	}
-	fmt.Printf("     repro: %s\n", path)
 }

@@ -16,7 +16,6 @@ import (
 	"os"
 	"time"
 
-	"specrecon/internal/ccache"
 	"specrecon/internal/harness"
 	"specrecon/internal/prof"
 	"specrecon/internal/simt"
@@ -42,10 +41,8 @@ func main() {
 		jobs       = flag.Int("j", 0, "worker-pool size for the experiment drivers (0 = GOMAXPROCS, 1 = serial)")
 		cpuprof    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof    = flag.String("memprofile", "", "write a heap profile to this file")
-		useCache   = flag.Bool("compile-cache", false, "memoize compilations across the experiment drivers")
-		cacheStats = flag.String("cache-stats", "", "write compile-cache hit/miss statistics as JSON to this file (\"-\" for stderr)")
 		telemAddr  = flag.String("telemetry-addr", "", "serve /metrics, /metrics.json and /healthz on this address while running")
-		ledgerPath = flag.String("ledger", "", "append a run record (wall time, cache and registry metrics) to this JSONL ledger")
+		ledgerPath = flag.String("ledger", "", "append a run record (wall time and registry metrics) to this JSONL ledger")
 	)
 	flag.Parse()
 	pol, err := simt.ParsePolicy(*policy)
@@ -64,18 +61,10 @@ func main() {
 		Policy: pol, Sched: sp, SchedSeed: *schedSeed,
 	}
 
-	var cache *ccache.Cache
-	if *useCache || *cacheStats != "" {
-		cache = ccache.New(0)
-		harness.UseCompileCache(cache)
-	}
 	var reg *telemetry.Registry
 	if *telemAddr != "" || *ledgerPath != "" {
 		reg = telemetry.New()
 		harness.UseTelemetry(reg)
-		if cache != nil {
-			cache.RegisterMetrics(reg)
-		}
 	}
 	if *telemAddr != "" {
 		srv, err := telemetry.Serve(*telemAddr, reg)
@@ -108,25 +97,8 @@ func main() {
 		fmt.Printf("wrote %d traces to %s (open in ui.perfetto.dev)\n", len(paths), *traceDir)
 	}
 
-	// finish emits the side outputs both exit paths share: the cache
-	// statistics dump and the run-ledger record.
+	// finish appends the run-ledger record both exit paths share.
 	finish := func() {
-		if *cacheStats != "" {
-			w := os.Stderr
-			if *cacheStats != "-" {
-				f, err := os.Create(*cacheStats)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "figures:", err)
-					os.Exit(2)
-				}
-				defer f.Close()
-				w = f
-			}
-			if err := cache.WriteStatsJSON(w); err != nil {
-				fmt.Fprintln(os.Stderr, "figures:", err)
-				os.Exit(2)
-			}
-		}
 		if *ledgerPath != "" {
 			rec := telemetry.RunRecord{
 				Time:    telemetry.NowRFC3339(),
@@ -136,9 +108,6 @@ func main() {
 				Metrics: reg.LedgerMetrics(),
 			}
 			rec.Metrics["wall_seconds"] = time.Since(started).Seconds()
-			if s := cache.Stats(); s.Hits+s.Misses > 0 {
-				rec.Metrics["ccache_hit_rate"] = float64(s.Hits) / float64(s.Hits+s.Misses)
-			}
 			if err := telemetry.AppendRecord(*ledgerPath, rec); err != nil {
 				fmt.Fprintln(os.Stderr, "figures:", err)
 				os.Exit(2)

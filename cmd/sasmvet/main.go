@@ -41,7 +41,6 @@ import (
 	"strings"
 
 	"specrecon/internal/analyze"
-	"specrecon/internal/ccache"
 	"specrecon/internal/core"
 	"specrecon/internal/corpus"
 	"specrecon/internal/ir"
@@ -61,11 +60,7 @@ func main() {
 		effFlag      = flag.Bool("eff", false, "print the static SIMT-efficiency estimate per kernel")
 		effBelow     = flag.Float64("eff-below", 0, "note kernels with static efficiency below this threshold (0 disables)")
 		quiet        = flag.Bool("q", false, "suppress per-diagnostic text output (summary and exit code only)")
-		useCache     = flag.Bool("compile-cache", false, "memoize -compiled pipeline runs in a content-addressed compile cache")
-		cacheStats   = flag.String("cache-stats", "", "write compile-cache hit/miss statistics as JSON to this file (\"-\" for stderr)")
-		repeatN      = flag.Int("repeat", 1, "vet the module set this many times (cache warm-up exercise; diagnostics are reported from the last pass only)")
-		minCacheHits = flag.Int64("min-cache-hits", 0, "exit 2 unless the compile cache recorded at least this many hits")
-		ledgerPath   = flag.String("ledger", "", "append a run record (module/diagnostic counts, cache hit rate) to this JSONL ledger")
+		ledgerPath   = flag.String("ledger", "", "append a run record (module/diagnostic counts) to this JSONL ledger")
 		fix          = flag.Bool("fix", false, "apply the diagnostics' machine edits to fixpoint (internal/repair); raw-mode file inputs are rewritten in place")
 		fixDryRun    = flag.Bool("fix-dry-run", false, "like -fix but never writes: report the repairs and exit on the post-repair diagnostics")
 		fixDiff      = flag.Bool("fix-diff", false, "with -fix/-fix-dry-run, print a line diff of each repaired module (implies -fix-dry-run when given alone)")
@@ -119,105 +114,65 @@ Flags:
 		os.Exit(2)
 	}
 
-	var cache *ccache.Cache
-	if *useCache {
-		cache = ccache.New(0)
-	}
-	if *repeatN < 1 {
-		*repeatN = 1
-	}
-
-	// Diagnostics and efficiencies are recorded from the last pass only,
-	// so a -repeat N warm-up run reports exactly what a single pass would
-	// — the cache-smoke check diffs the SARIF outputs to prove it. In fix
-	// mode `all` holds the pre-repair findings (what the report and SARIF
-	// show) while `post` drives the exit status.
+	// In fix mode `all` holds the pre-repair findings (what the report
+	// and SARIF show) while `post` drives the exit status.
 	var all, post []analyze.Diagnostic
 	effs := map[string]float64{}
 	editsApplied := 0
-	for pass := 0; pass < *repeatN; pass++ {
-		all, post = all[:0], post[:0]
-		clear(effs)
-		editsApplied = 0
-		last := pass == *repeatN-1
-		for _, vm := range mods {
-			vr, err := vet(vm, *compiled, *effBelow, cache, fixMode, injectPlan)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sasmvet: %s: %v\n", vm.label, err)
+	for _, vm := range mods {
+		vr, err := vet(vm, *compiled, *effBelow, fixMode, injectPlan)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "sasmvet: %s: %v\n", vm.label, err)
+			os.Exit(2)
+		}
+		for _, d := range vr.diags {
+			if d.Fn == "" {
+				d.Fn = vm.label
+			}
+			all = append(all, d)
+			if !*quiet {
+				fmt.Printf("%s: %s\n", d.Severity, d)
+			}
+		}
+		for _, d := range vr.post {
+			if d.Fn == "" {
+				d.Fn = vm.label
+			}
+			post = append(post, d)
+		}
+		for fn, e := range vr.eff {
+			effs[vm.label+"/"+fn] = e
+		}
+		if vr.report == nil {
+			continue
+		}
+		editsApplied += len(vr.report.Edits)
+		if !*quiet && len(vr.report.Edits) > 0 {
+			fmt.Printf("sasmvet: %s: %s\n", vm.label, vr.report.Summary())
+		}
+		if *fixDiff && len(vr.report.Edits) > 0 {
+			if vr.oldSrc != "" {
+				printDiff(vm.label, vr.oldSrc, vr.newSrc)
+			} else {
+				// Compiled artifacts have no source text to diff;
+				// list the applied edits instead.
+				for _, e := range vr.report.Edits {
+					fmt.Printf("  %s\n", e.Edit)
+				}
+			}
+		}
+		if *fix && vm.path != "" && len(vr.report.Edits) > 0 && vr.newSrc != "" {
+			if err := os.WriteFile(vm.path, []byte(vr.newSrc), 0o644); err != nil {
+				fmt.Fprintf(os.Stderr, "sasmvet: %v\n", err)
 				os.Exit(2)
 			}
-			for _, d := range vr.diags {
-				if d.Fn == "" {
-					d.Fn = vm.label
-				}
-				all = append(all, d)
-				if !*quiet && last {
-					fmt.Printf("%s: %s\n", d.Severity, d)
-				}
-			}
-			for _, d := range vr.post {
-				if d.Fn == "" {
-					d.Fn = vm.label
-				}
-				post = append(post, d)
-			}
-			for fn, e := range vr.eff {
-				effs[vm.label+"/"+fn] = e
-			}
-			if vr.report == nil || !last {
-				continue
-			}
-			editsApplied += len(vr.report.Edits)
-			if !*quiet && len(vr.report.Edits) > 0 {
-				fmt.Printf("sasmvet: %s: %s\n", vm.label, vr.report.Summary())
-			}
-			if *fixDiff && len(vr.report.Edits) > 0 {
-				if vr.oldSrc != "" {
-					printDiff(vm.label, vr.oldSrc, vr.newSrc)
-				} else {
-					// Compiled artifacts have no source text to diff;
-					// list the applied edits instead.
-					for _, e := range vr.report.Edits {
-						fmt.Printf("  %s\n", e.Edit)
-					}
-				}
-			}
-			if *fix && vm.path != "" && len(vr.report.Edits) > 0 && vr.newSrc != "" {
-				if err := os.WriteFile(vm.path, []byte(vr.newSrc), 0o644); err != nil {
-					fmt.Fprintf(os.Stderr, "sasmvet: %v\n", err)
-					os.Exit(2)
-				}
-				fmt.Printf("sasmvet: %s: rewrote with %d edit(s)\n", vm.path, len(vr.report.Edits))
-			}
+			fmt.Printf("sasmvet: %s: rewrote with %d edit(s)\n", vm.path, len(vr.report.Edits))
 		}
 	}
 	// The -fail-on comparison follows the SR code table: a diagnostic
 	// with a known code is judged by the registry's severity for it.
 	normalizeSeverity(all)
 	normalizeSeverity(post)
-
-	if *cacheStats != "" {
-		w := os.Stderr
-		if *cacheStats != "-" {
-			f, err := os.Create(*cacheStats)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sasmvet: %v\n", err)
-				os.Exit(2)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := cache.WriteStatsJSON(w); err != nil {
-			fmt.Fprintf(os.Stderr, "sasmvet: %v\n", err)
-			os.Exit(2)
-		}
-	}
-	if *minCacheHits > 0 {
-		if hits := cache.Stats().Hits; hits < *minCacheHits {
-			fmt.Fprintf(os.Stderr, "sasmvet: compile cache recorded %d hit(s), want >= %d\n", hits, *minCacheHits)
-			os.Exit(2)
-		}
-	}
 
 	if *effFlag {
 		names := make([]string, 0, len(effs))
@@ -277,8 +232,8 @@ Flags:
 			Time:   telemetry.NowRFC3339(),
 			Tool:   "sasmvet",
 			GitRev: telemetry.GitRev(),
-			Config: telemetry.Fingerprint(fmt.Sprintf("workloads=%v corpus=%d seed=%d compiled=%v repeat=%d fix=%v inject=%q args=%v",
-				*vetWorkloads, *corpusN, *corpusSeed, *compiled, *repeatN, fixMode, *injectSpec, flag.Args())),
+			Config: telemetry.Fingerprint(fmt.Sprintf("workloads=%v corpus=%d seed=%d compiled=%v fix=%v inject=%q args=%v",
+				*vetWorkloads, *corpusN, *corpusSeed, *compiled, fixMode, *injectSpec, flag.Args())),
 			Metrics: map[string]float64{
 				"modules":  float64(len(mods)),
 				"errors":   float64(errors),
@@ -289,9 +244,6 @@ Flags:
 		if fixMode {
 			rec.Metrics["edits_applied"] = float64(editsApplied)
 			rec.Metrics["post_errors"] = float64(len(analyze.Filter(post, analyze.SeverityError)))
-		}
-		if s := cache.Stats(); s.Hits+s.Misses > 0 {
-			rec.Metrics["ccache_hit_rate"] = float64(s.Hits) / float64(s.Hits+s.Misses)
 		}
 		if err := telemetry.AppendRecord(*ledgerPath, rec); err != nil {
 			fmt.Fprintf(os.Stderr, "sasmvet: %v\n", err)
@@ -437,12 +389,11 @@ type vetResult struct {
 
 // vet analyzes one module: raw (no barrier provenance — the class-gated
 // checks are skipped) or compiled through the speculative pipeline with
-// the "analyze" pass before allocation, memoized by cache when one is
-// installed (nil runs the pipeline directly; the pipeline clones the
-// module before transforming, so vm.mod is never written either way).
+// the "analyze" pass before allocation (the pipeline clones the module
+// before transforming, so vm.mod is never written).
 // In fix mode the raw path repairs a clone and re-analyzes it, and the
 // compiled path routes through the repair pipeline (DiagnoseRepaired).
-func vet(vm vetModule, compiled bool, effBelow float64, cache *ccache.Cache, fixMode bool, inject core.FaultPlan) (vetResult, error) {
+func vet(vm vetModule, compiled bool, effBelow float64, fixMode bool, inject core.FaultPlan) (vetResult, error) {
 	if !compiled {
 		if fixMode {
 			clone := vm.mod.Clone()
@@ -471,7 +422,7 @@ func vet(vm vetModule, compiled bool, effBelow float64, cache *ccache.Cache, fix
 		}
 		return vetResult{diags: pre, post: comp.Diagnostics, eff: comp.StaticEff, report: comp.RepairReport}, nil
 	}
-	comp, err := cache.Diagnose(vm.mod, opts)
+	comp, err := core.Diagnose(vm.mod, opts)
 	if err != nil {
 		return vetResult{}, err
 	}

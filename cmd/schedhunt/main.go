@@ -18,14 +18,16 @@
 // Exit status: 0 when every check passed (and, with -matrix, every
 // planted fault was caught at its pinned layer); 1 otherwise. Kernels
 // whose baseline fails are counted as skips — they indict the input,
-// not the schedule.
+// not the schedule. Usage errors, including the greedy reference as a
+// policy to explore, exit 2. Per-check lines are printed after the
+// sweep in cell order, so output does not depend on -j.
 package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -33,7 +35,6 @@ import (
 	"time"
 
 	"specrecon/internal/analyze"
-	"specrecon/internal/ccache"
 	"specrecon/internal/corpus"
 	"specrecon/internal/diffcheck"
 	"specrecon/internal/harness"
@@ -42,57 +43,73 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command behind main: it parses args, runs the campaign
+// and returns the exit status (2 for a usage or output error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("schedhunt", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		n        = flag.Int("n", 500, "number of corpus applications to generate")
-		seed     = flag.Uint64("seed", 42, "corpus generation seed")
-		policies = flag.String("policies", "oldest,youngest,obe,random", "comma-separated scheduling policies to explore (see -h of specrecon -sched)")
-		seeds    = flag.String("seeds", "1,2,3,4", "comma-separated schedule seeds; each perturbs the launch seed and seeds the random policy")
-		jobs     = flag.Int("j", 0, "parallel workers (0 = GOMAXPROCS)")
-		matrix   = flag.Bool("matrix", false, "run the planted scheduler-sensitive fault matrix and require every fault caught at its pinned layer")
+		n        = fs.Int("n", 500, "number of corpus applications to generate")
+		seed     = fs.Uint64("seed", 42, "corpus generation seed")
+		policies = fs.String("policies", "oldest,youngest,obe,random", "comma-separated scheduling policies to explore (see -h of specrecon -sched)")
+		seeds    = fs.String("seeds", "1,2,3,4", "comma-separated schedule seeds; each perturbs the launch seed and seeds the random policy")
+		jobs     = fs.Int("j", 0, "parallel workers (0 = GOMAXPROCS)")
+		matrix   = fs.Bool("matrix", false, "run the planted scheduler-sensitive fault matrix and require every fault caught at its pinned layer")
 
-		maxIssues   = flag.Int64("max-issues", 1<<22, "per-run issue budget")
-		starveLimit = flag.Int64("starve-limit", 1<<21, "starvation monitor budget in cycles armed on every policy-scheduled run (0 = off)")
-		wallBudget  = flag.Duration("wall-budget", time.Minute, "wall-clock watchdog per simulator run (0 = off)")
+		maxIssues   = fs.Int64("max-issues", 1<<22, "per-run issue budget")
+		starveLimit = fs.Int64("starve-limit", 1<<21, "starvation monitor budget in cycles armed on every policy-scheduled run (0 = off)")
+		wallBudget  = fs.Duration("wall-budget", time.Minute, "wall-clock watchdog per simulator run (0 = off)")
 
-		repros     = flag.String("repros", "testdata/repros", "directory for minimized .sasm repros of findings")
-		statsPath  = flag.String("stats", "", "write campaign statistics as JSON to this file (\"-\" for stdout)")
-		ledgerPath = flag.String("ledger", "", "append the campaign record to this JSONL run ledger")
-		verbose    = flag.Bool("v", false, "print one line per check")
+		repros     = fs.String("repros", "testdata/repros", "directory for minimized .sasm repros of findings")
+		statsPath  = fs.String("stats", "", "write campaign statistics as JSON to this file (\"-\" for stdout)")
+		ledgerPath = fs.String("ledger", "", "append the campaign record to this JSONL run ledger")
+		verbose    = fs.Bool("v", false, "print one line per check")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "schedhunt:", err)
+		return 2
+	}
 
 	pols, err := parsePolicies(*policies)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	seedList, err := parseSeeds(*seeds)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 
 	reg := telemetry.New()
-	harness.UseTelemetry(reg)
-	cache := ccache.New(0)
+	defer harness.UseTelemetry(harness.UseTelemetry(reg))
 
 	started := time.Now()
 	failures := 0
 	if *matrix {
-		failures += runMatrix(*verbose)
+		failures += runMatrix(stdout, *verbose)
 	}
 	st := runCampaign(campaignConfig{
 		n: *n, seed: *seed, jobs: *jobs,
 		policies: pols, seeds: seedList,
 		maxIssues: *maxIssues, starveLimit: *starveLimit, wallBudget: *wallBudget,
 		reproDir: *repros, verbose: *verbose,
-	}, cache, reg)
+		stdout: stdout, stderr: stderr,
+	}, reg)
 	failures += st.Findings + st.Panics
 
-	fmt.Printf("schedhunt: %d checks (%d kernels x %d policies x %d seeds), %d ok, %d skipped, %d findings, %d panics\n",
+	fmt.Fprintf(stdout, "schedhunt: %d checks (%d kernels x %d policies x %d seeds), %d ok, %d skipped, %d findings, %d panics\n",
 		st.Checks, st.Kernels, len(pols), len(seedList), st.OK, st.Skips, st.Findings, st.Panics)
 
 	if *statsPath != "" {
-		if err := writeStats(*statsPath, st); err != nil {
-			fail(err)
+		if err := writeStats(*statsPath, stdout, st); err != nil {
+			return fail(err)
 		}
 	}
 	if *ledgerPath != "" {
@@ -111,22 +128,15 @@ func main() {
 		rec.Metrics["findings"] = float64(st.Findings)
 		rec.Metrics["skips"] = float64(st.Skips)
 		rec.Metrics["panics"] = float64(st.Panics)
-		if s := cache.Stats(); s.Hits+s.Misses > 0 {
-			rec.Metrics["ccache_hit_rate"] = float64(s.Hits) / float64(s.Hits+s.Misses)
-		}
 		if err := telemetry.AppendRecord(*ledgerPath, rec); err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "schedhunt: appended run record (%d metrics) to %s\n", len(rec.Metrics), *ledgerPath)
+		fmt.Fprintf(stderr, "schedhunt: appended run record (%d metrics) to %s\n", len(rec.Metrics), *ledgerPath)
 	}
 	if failures > 0 {
-		os.Exit(1)
+		return 1
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "schedhunt:", err)
-	os.Exit(2)
+	return 0
 }
 
 func parsePolicies(spec string) ([]simt.SchedPolicy, error) {
@@ -172,9 +182,9 @@ func parseSeeds(spec string) ([]uint64, error) {
 
 // runMatrix evaluates the planted scheduler-sensitive faults and
 // returns how many missed their pinned detection layer.
-func runMatrix(verbose bool) int {
+func runMatrix(w io.Writer, verbose bool) int {
 	bad := 0
-	fmt.Println("scheduler fault matrix:")
+	fmt.Fprintln(w, "scheduler fault matrix:")
 	for _, o := range diffcheck.RunSchedMatrix() {
 		status := "ok"
 		if !o.ExpectationMet() {
@@ -189,26 +199,27 @@ func runMatrix(verbose bool) int {
 		if !o.AnalyzerClean {
 			static = "flagged"
 		}
-		fmt.Printf("  %-22s sched=%-8s greedy=%-5s analyzer=%-7s caught=%-10s want=%-10s %s\n",
+		fmt.Fprintf(w, "  %-22s sched=%-8s greedy=%-5s analyzer=%-7s caught=%-10s want=%-10s %s\n",
 			o.Fault.Name, o.Fault.Sched, greedy, static, o.Got, o.Fault.WantLayer, status)
 		if verbose && o.Result.Err != nil {
-			fmt.Printf("    %v\n", o.Result.Err)
+			fmt.Fprintf(w, "    %v\n", o.Result.Err)
 		}
 	}
 	return bad
 }
 
 type campaignConfig struct {
-	n           int
-	seed        uint64
-	jobs        int
-	policies    []simt.SchedPolicy
-	seeds       []uint64
-	maxIssues   int64
-	starveLimit int64
-	wallBudget  time.Duration
-	reproDir    string
-	verbose     bool
+	n              int
+	seed           uint64
+	jobs           int
+	policies       []simt.SchedPolicy
+	seeds          []uint64
+	maxIssues      int64
+	starveLimit    int64
+	wallBudget     time.Duration
+	reproDir       string
+	verbose        bool
+	stdout, stderr io.Writer
 }
 
 // Stats is the machine-readable campaign summary (-stats).
@@ -223,25 +234,17 @@ type Stats struct {
 	// detection layer.
 	PerPolicy map[string]int `json:"per_policy"`
 	PerLayer  map[string]int `json:"per_layer"`
-	// Repros lists the minimized repro files written for findings.
+	// Repros lists the repro files written for findings (minimized)
+	// and panics (as checked).
 	Repros []string `json:"repros,omitempty"`
 }
 
-type outcome struct {
-	name          string
-	policy        simt.SchedPolicy
-	schedSeed     uint64
-	res           diffcheck.Result
-	layer         diffcheck.SchedLayer
-	analyzerClean bool
-	skipped       bool
-}
-
-// runCampaign checks every (kernel, policy, seed) cell. Each cell is
-// one task on the panic-contained worker pool: a pathological
-// kernel×schedule surfaces as a typed per-task error with a repro, and
-// the rest of the sweep still runs.
-func runCampaign(cc campaignConfig, cache *ccache.Cache, reg *telemetry.Registry) Stats {
+// runCampaign checks every (kernel, policy, seed) cell on the shared
+// campaign loop and prints the per-cell lines in cell order once the
+// sweep is done. A pathological kernel×schedule that panics surfaces
+// as a contained panic with an unminimized repro, and the rest of the
+// sweep still runs.
+func runCampaign(cc campaignConfig, reg *telemetry.Registry) Stats {
 	apps := corpus.Generate(cc.n, cc.seed)
 
 	// The analyzer verdict per kernel, computed once: a statically
@@ -256,126 +259,97 @@ func runCampaign(cc campaignConfig, cache *ccache.Cache, reg *telemetry.Registry
 		return nil
 	})
 
-	cells := len(apps) * len(cc.policies) * len(cc.seeds)
-	outcomes := make([]outcome, cells)
+	perApp := len(cc.policies) * len(cc.seeds)
+	cells := make([]harness.Cell, 0, len(apps)*perApp)
+	for _, app := range apps {
+		for _, pol := range cc.policies {
+			for _, ss := range cc.seeds {
+				// Perturbing the launch seed makes every schedule seed a
+				// genuinely different dynamic instance for every policy;
+				// the baseline re-runs under the same perturbed seed, so
+				// the greedy reference stays exact. The schedule and the
+				// liveness monitors apply to the speculative run only.
+				k := harness.CorpusKernel(app)
+				k.Name = fmt.Sprintf("%s-%s-s%d", app.Name, pol, ss)
+				k.Seed ^= ss * 0x9e3779b97f4a7c15
+				cells = append(cells, harness.Cell{Kernel: k, Opts: diffcheck.Options{
+					MaxIssues:    cc.maxIssues,
+					AutoAnnotate: true,
+					Sched:        pol,
+					SchedSeed:    ss,
+					StarveLimit:  cc.starveLimit,
+					WallBudget:   cc.wallBudget,
+				}})
+			}
+		}
+	}
+
 	checksVec := reg.Counter("schedhunt_checks_total",
 		"Differential checks completed, per scheduling policy.", "policy")
 	findingsVec := reg.Counter("schedhunt_findings_total",
 		"Schedule-dependent findings, per policy and detection layer.", "policy", "layer")
 
-	perPolicy := len(cc.policies) * len(cc.seeds)
-	errs := harness.RunTasks("schedhunt", cc.jobs, cells, func(i int) error {
-		app := apps[i/perPolicy]
-		pol := cc.policies[(i%perPolicy)/len(cc.seeds)]
-		ss := cc.seeds[i%len(cc.seeds)]
-		o := &outcomes[i]
-		o.name, o.policy, o.schedSeed, o.analyzerClean = app.Name, pol, ss, clean[i/perPolicy]
-
-		k := cellKernel(app, pol, ss)
-		o.res = diffcheck.Check(k, campaignOptions(cc, pol, ss, cache))
-		o.layer = diffcheck.ClassifySchedFailure(o.res)
-		checksVec.With(pol.String()).Add(1)
-		switch {
-		case o.res.OK:
-			if cc.verbose {
-				fmt.Printf("ok   %s\n", k.Name)
-			}
-		case o.res.Stage.BaselineFailure():
-			o.skipped = true
-			if cc.verbose {
-				fmt.Printf("skip %s: %v\n", k.Name, o.res)
-			}
-		default:
-			findingsVec.With(pol.String(), string(o.layer)).Add(1)
-			verdict := "analyzer flags this kernel: schedule dependence expected"
-			if o.analyzerClean {
-				verdict = "analyzer-clean kernel: indicts an engine or a progress-model reliance"
-			}
-			fmt.Printf("FAIL %s at %s [%s]: %v\n     %s\n", k.Name, o.res.Stage, o.layer, o.res.Err, verdict)
-		}
-		return nil
-	})
-
-	st := Stats{Kernels: len(apps), Checks: cells,
+	st := Stats{Kernels: len(apps), Checks: len(cells),
 		PerPolicy: map[string]int{}, PerLayer: map[string]int{}}
-	for i := range outcomes {
-		o := &outcomes[i]
-		var pe *harness.TaskPanicError
-		if errors.As(errs[i], &pe) {
-			// The check itself blew up: contain it as a campaign finding
-			// with an unminimized repro (re-checking could re-panic).
+	for i, o := range harness.Check("schedhunt", cc.jobs, cells) {
+		c := cells[i]
+		pol, ss := c.Opts.Sched, c.Opts.SchedSeed
+		if o.Panic != nil {
 			st.Panics++
-			fmt.Printf("PANIC %s under %s (seed %d): %v\n", o.name, o.policy, o.schedSeed, pe)
-			k := cellKernel(apps[i/perPolicy], o.policy, o.schedSeed)
-			opts := campaignOptions(cc, o.policy, o.schedSeed, cache)
-			if path, err := diffcheck.WriteRepro(cc.reproDir, k, opts, diffcheck.Result{
-				Stage: "panic", Err: pe,
-			}); err == nil {
-				st.Repros = append(st.Repros, path)
-				fmt.Printf("      repro: %s\n", path)
-			}
+			fmt.Fprintf(cc.stdout, "PANIC %s under %s (seed %d): %v\n", apps[i/perApp].Name, pol, ss, o.Panic)
+			st.writeRepro(cc, c, o)
 			continue
 		}
+		checksVec.With(pol.String()).Add(1)
 		switch {
-		case o.res.OK:
+		case o.Res.OK:
 			st.OK++
-		case o.skipped:
-			st.Skips++
-		default:
-			st.Findings++
-			st.PerPolicy[o.policy.String()]++
-			st.PerLayer[string(o.layer)]++
-			k := cellKernel(apps[i/perPolicy], o.policy, o.schedSeed)
-			opts := campaignOptions(cc, o.policy, o.schedSeed, cache)
-			small, res := diffcheck.Minimize(k, opts)
-			path, err := diffcheck.WriteRepro(cc.reproDir, small, opts, res)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "schedhunt: writing repro for %s: %v\n", k.Name, err)
-				continue
+			if cc.verbose {
+				fmt.Fprintf(cc.stdout, "ok   %s\n", c.Kernel.Name)
 			}
-			st.Repros = append(st.Repros, path)
-			fmt.Printf("     repro: %s\n", path)
+		case o.Res.Stage.BaselineFailure():
+			st.Skips++
+			if cc.verbose {
+				fmt.Fprintf(cc.stdout, "skip %s: %v\n", c.Kernel.Name, o.Res)
+			}
+		default:
+			layer := diffcheck.ClassifySchedFailure(o.Res)
+			st.Findings++
+			st.PerPolicy[pol.String()]++
+			st.PerLayer[string(layer)]++
+			findingsVec.With(pol.String(), string(layer)).Add(1)
+			verdict := "analyzer flags this kernel: schedule dependence expected"
+			if clean[i/perApp] {
+				verdict = "analyzer-clean kernel: indicts an engine or a progress-model reliance"
+			}
+			fmt.Fprintf(cc.stdout, "FAIL %s at %s [%s]: %v\n     %s\n", c.Kernel.Name, o.Res.Stage, layer, o.Res.Err, verdict)
+			st.writeRepro(cc, c, o)
 		}
 	}
 	sort.Strings(st.Repros)
 	return st
 }
 
-// cellKernel wraps one corpus app for one (policy, seed) cell.
-// Perturbing the launch seed makes every schedule seed a genuinely
-// different dynamic instance for every policy; the baseline re-runs
-// under the same perturbed seed, so the greedy reference stays exact.
-func cellKernel(app *corpus.App, pol simt.SchedPolicy, ss uint64) diffcheck.Kernel {
-	return diffcheck.Kernel{
-		Name: fmt.Sprintf("%s-%s-s%d", app.Name, pol, ss), Module: app.Module,
-		Entry: app.Kernel, Threads: app.Threads, Memory: app.Memory,
-		Seed: app.Seed ^ (ss * 0x9e3779b97f4a7c15),
+// writeRepro writes the repro of a failed cell, records and prints its
+// path.
+func (st *Stats) writeRepro(cc campaignConfig, c harness.Cell, o harness.Outcome) {
+	path, err := harness.WriteRepro(cc.reproDir, c, o)
+	if err != nil {
+		fmt.Fprintf(cc.stderr, "schedhunt: writing repro for %s: %v\n", c.Kernel.Name, err)
+		return
 	}
+	st.Repros = append(st.Repros, path)
+	fmt.Fprintf(cc.stdout, "     repro: %s\n", path)
 }
 
-// campaignOptions builds the checker options for one (policy, seed)
-// cell: the liveness monitors armed, the schedule on the speculative
-// run only.
-func campaignOptions(cc campaignConfig, pol simt.SchedPolicy, ss uint64, cache *ccache.Cache) diffcheck.Options {
-	return diffcheck.Options{
-		MaxIssues:    cc.maxIssues,
-		AutoAnnotate: true,
-		Sched:        pol,
-		SchedSeed:    ss,
-		StarveLimit:  cc.starveLimit,
-		WallBudget:   cc.wallBudget,
-		Cache:        cache,
-	}
-}
-
-func writeStats(path string, st Stats) error {
+func writeStats(path string, stdout io.Writer, st Stats) error {
 	data, err := json.MarshalIndent(st, "", "  ")
 	if err != nil {
 		return err
 	}
 	data = append(data, '\n')
 	if path == "-" {
-		_, err = os.Stdout.Write(data)
+		_, err = stdout.Write(data)
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"specrecon/internal/analyze"
-	"specrecon/internal/ccache"
 	"specrecon/internal/core"
 	"specrecon/internal/diffcheck"
 	"specrecon/internal/harness"
@@ -83,9 +82,6 @@ func main() {
 		cpuprof = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof = flag.String("memprofile", "", "write a heap profile to this file")
 
-		useCache   = flag.Bool("compile-cache", false, "memoize compilations (sweeps, diffcheck, diagnostics) in a content-addressed compile cache")
-		cacheStats = flag.String("cache-stats", "", "write compile-cache hit/miss statistics as JSON to this file (\"-\" for stderr)")
-
 		sampleStride = flag.Int64("sample-stride", 0, "sample per-SM occupancy/stall attribution every N issue passes (0 = off); prints the occupancy report per run and feeds counter tracks into -trace-out")
 		telemAddr    = flag.String("telemetry-addr", "", "serve /metrics, /metrics.json and /healthz on this address while running")
 		telemJSON    = flag.String("telemetry-json", "", "write the final telemetry snapshot as JSON to this file (\"-\" for stderr)")
@@ -99,32 +95,8 @@ func main() {
 	defer stopProf()
 	profStop = stopProf
 
-	if *useCache {
-		compCache = ccache.New(0)
-	}
-	if *cacheStats != "" {
-		defer func() {
-			w := os.Stderr
-			if *cacheStats != "-" {
-				f, err := os.Create(*cacheStats)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "specrecon: %v\n", err)
-					return
-				}
-				defer f.Close()
-				w = f
-			}
-			if err := compCache.WriteStatsJSON(w); err != nil {
-				fmt.Fprintf(os.Stderr, "specrecon: %v\n", err)
-			}
-		}()
-	}
-
 	if *telemAddr != "" || *telemJSON != "" {
 		telemReg = telemetry.New()
-		if compCache != nil {
-			compCache.RegisterMetrics(telemReg)
-		}
 	}
 	if *telemAddr != "" {
 		srv, err := telemetry.Serve(*telemAddr, telemReg)
@@ -192,7 +164,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		dcomp, err := compCache.CompilePipeline(inst.Module, core.Options{SkipAllocation: true}, dpipe)
+		dcomp, err := core.CompilePipeline(inst.Module, core.Options{SkipAllocation: true}, dpipe)
 		if err != nil {
 			fail(err)
 		}
@@ -275,7 +247,7 @@ func main() {
 		}
 		var comp *core.Compilation
 		if *safe && mo != "baseline" {
-			sc, err := compCache.CompileSafe(mod, opts)
+			sc, err := core.CompileSafe(mod, opts)
 			if err != nil {
 				fail(err)
 			}
@@ -489,7 +461,6 @@ func runDiffcheck(path string, inst *workloads.Instance, inject string, dec core
 		Faults:            plan,
 		SkipReleaseN:      skipRelease,
 		WallBudget:        wallBudget,
-		Cache:             compCache,
 	}))
 	if res.OK {
 		fmt.Printf("diffcheck: ok (base cycles %d, spec cycles %d)\n",
@@ -504,7 +475,7 @@ func runDiffcheck(path string, inst *workloads.Instance, inject string, dec core
 // runSweep measures the kernel across soft-barrier thresholds.
 func runSweep(inst *workloads.Instance, pol simt.Policy, dec core.DeconflictMode) error {
 	runAt := func(opts core.Options) (*simt.Metrics, error) {
-		comp, err := compCache.Compile(inst.Module, opts)
+		comp, err := core.Compile(inst.Module, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -622,11 +593,6 @@ func parseDeconflict(s string) (core.DeconflictMode, error) {
 // profStop finishes any active profiles before fail's os.Exit, which
 // would otherwise skip the deferred stop in main.
 var profStop = func() {}
-
-// compCache is the optional -compile-cache memoizer. Nil (the default)
-// forwards every compile straight to core, so call sites below thread
-// it unconditionally.
-var compCache *ccache.Cache
 
 // telemReg is the optional metrics registry behind -telemetry-addr and
 // -telemetry-json; nil when neither flag is given.

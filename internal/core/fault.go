@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -185,6 +186,18 @@ func findNth(m *ir.Module, n int, pred func(in, prev *ir.Instr) bool) (instrRef,
 	return instrRef{}, false
 }
 
+// ErrNoFaultTarget is wrapped by every inject-layer error whose target
+// instruction does not exist in the module: the fault planted nothing.
+// Campaigns test for it with errors.Is to count such a build as a skip.
+var ErrNoFaultTarget = errors.New("fault target not found")
+
+// noTargetError carries a missing-target message verbatim and unwraps
+// to ErrNoFaultTarget.
+type noTargetError string
+
+func (e noTargetError) Error() string { return string(e) }
+func (e noTargetError) Unwrap() error { return ErrNoFaultTarget }
+
 // inject applies the plan's inject-layer faults to the module. A fault
 // whose target instruction does not exist is an error: the caller asked
 // for a perturbation that would not actually perturb anything.
@@ -209,7 +222,7 @@ func (c *PassContext) inject(p FaultPlan) error {
 		}
 		ref, ok := findNth(c.Mod, d.n, d.pred)
 		if !ok {
-			return fmt.Errorf("fault %s@%d: module has no such target", d.name, d.n)
+			return noTargetError(fmt.Sprintf("fault %s@%d: module has no such target", d.name, d.n))
 		}
 		in := ref.b.Instrs[ref.idx]
 		c.Remarkf(ref.f.Name, ref.b.Name, "fault %s@%d: removed %s b%d", d.name, d.n, in.Op, in.Bar)
@@ -218,12 +231,12 @@ func (c *PassContext) inject(p FaultPlan) error {
 	if p.SwapWaits {
 		first, ok := findNth(c.Mod, 1, func(in, _ *ir.Instr) bool { return isWait(in.Op) })
 		if !ok {
-			return fmt.Errorf("fault swap-waits: module has no waits")
+			return noTargetError("fault swap-waits: module has no waits")
 		}
 		bar0 := first.b.Instrs[first.idx].Bar
 		second, ok := findNth(c.Mod, 1, func(in, _ *ir.Instr) bool { return isWait(in.Op) && in.Bar != bar0 })
 		if !ok {
-			return fmt.Errorf("fault swap-waits: module has no second wait on a distinct barrier")
+			return noTargetError("fault swap-waits: module has no second wait on a distinct barrier")
 		}
 		bar1 := second.b.Instrs[second.idx].Bar
 		first.b.Instrs[first.idx].Bar = bar1

@@ -78,7 +78,13 @@ func TestInjectMissingTargetIsError(t *testing.T) {
 
 	opts := BaselineOptions()
 	opts.Faults = FaultPlan{DropCancel: 1}
-	if _, err := Compile(m, opts); err == nil || !strings.Contains(err.Error(), "no such target") {
+	if _, err := Compile(m, opts); err == nil || !strings.Contains(err.Error(), "no such target") ||
+		!errors.Is(err, ErrNoFaultTarget) {
+		t.Fatalf("want missing-target error, got %v", err)
+	}
+	opts.Faults = FaultPlan{SwapWaits: true}
+	if _, err := Compile(m, opts); err == nil || !strings.Contains(err.Error(), "fault swap-waits: module has no waits") ||
+		!errors.Is(err, ErrNoFaultTarget) {
 		t.Fatalf("want missing-target error, got %v", err)
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"math"
 	"time"
 
-	"specrecon/internal/ccache"
 	"specrecon/internal/core"
 	"specrecon/internal/ir"
 	"specrecon/internal/simt"
@@ -98,12 +97,6 @@ type Options struct {
 	// MaxCycles (simt.Config.WallBudget semantics); it applies to both
 	// runs so a pathological kernel cannot hang a campaign worker.
 	WallBudget time.Duration
-	// Cache, when non-nil, memoizes the baseline and speculative
-	// compilations: a campaign re-checking one kernel under many
-	// thresholds or fault plans compiles each distinct build once.
-	// AutoAnnotate results are keyed by the annotated module's content,
-	// so cached and fresh campaigns report identically.
-	Cache *ccache.Cache
 }
 
 func (o Options) withDefaults() Options {
@@ -182,7 +175,7 @@ func Check(k Kernel, opts Options) Result {
 		}
 	}
 
-	baseComp, err := opts.Cache.Compile(mod, core.BaselineOptions())
+	baseComp, err := core.Compile(mod, core.BaselineOptions())
 	if err != nil {
 		return Result{Stage: StageCompileBase, Err: err, Annotated: annotated}
 	}
@@ -197,18 +190,18 @@ func Check(k Kernel, opts Options) Result {
 	repaired := false
 	var specComp *core.Compilation
 	if opts.Verify && opts.Repair {
-		specComp, err = opts.Cache.CompilePipeline(mod, specOpts, core.RepairPipelineFor(specOpts))
+		specComp, err = core.CompilePipeline(mod, specOpts, core.RepairPipelineFor(specOpts))
 		if err != nil {
 			return Result{Stage: StageVerify, Err: err, Annotated: annotated}
 		}
 		repaired = specComp.RepairReport != nil && len(specComp.RepairReport.Edits) > 0
 	} else if opts.Verify {
-		specComp, err = opts.Cache.CompilePipeline(mod, specOpts, core.SafePipelineFor(specOpts))
+		specComp, err = core.CompilePipeline(mod, specOpts, core.SafePipelineFor(specOpts))
 		if err != nil {
 			return Result{Stage: StageVerify, Err: err, Annotated: annotated}
 		}
 	} else {
-		specComp, err = opts.Cache.Compile(mod, specOpts)
+		specComp, err = core.Compile(mod, specOpts)
 		if err != nil {
 			return Result{Stage: StageCompileSpec, Err: err, Annotated: annotated}
 		}

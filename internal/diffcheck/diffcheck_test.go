@@ -1,6 +1,7 @@
 package diffcheck
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -95,6 +96,37 @@ func TestParseFaultBothLayers(t *testing.T) {
 	}
 	if _, _, err := ParseFault("drop-everything"); err == nil {
 		t.Error("unknown fault should be rejected")
+	}
+}
+
+// TestNoFaultTargetSentinel: a fault plan whose target does not exist
+// in the module fails the speculative build with an error that keeps
+// core.ErrNoFaultTarget in its chain through the pass manager, on every
+// pipeline a campaign compiles through.
+func TestNoFaultTargetSentinel(t *testing.T) {
+	k := MatrixKernel()
+	for _, tc := range []struct {
+		name  string
+		opts  Options
+		stage Stage
+	}{
+		{"plain", Options{}, StageCompileSpec},
+		{"verify", Options{Verify: true}, StageVerify},
+		{"repair", Options{Verify: true, Repair: true}, StageVerify},
+	} {
+		for _, plan := range []core.FaultPlan{{DropCancel: 99}, {DropRejoin: 99}} {
+			tc.opts.Faults = plan
+			res := Check(k, tc.opts)
+			if res.Stage != tc.stage || !errors.Is(res.Err, core.ErrNoFaultTarget) {
+				t.Errorf("%s %s: %v, want %s wrapping ErrNoFaultTarget", tc.name, plan, res, tc.stage)
+			}
+			if !strings.Contains(res.Err.Error(), "module has no such target") {
+				t.Errorf("%s %s: message changed: %v", tc.name, plan, res.Err)
+			}
+		}
+	}
+	if res := Check(k, Options{Faults: core.FaultPlan{DropCancel: 1}, Verify: true}); errors.Is(res.Err, core.ErrNoFaultTarget) {
+		t.Errorf("a planted fault reported no target: %v", res)
 	}
 }
 

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"specrecon/internal/workloads"
@@ -13,15 +14,6 @@ import (
 // two driver shapes — a flat job list (Figure7) and a flattened grid
 // reassembled into a map (Sensitivity).
 
-// stripCompileTimes zeroes the wall-clock fields, the only
-// legitimately nondeterministic part of a Comparison.
-func stripCompileTimes(rows []Comparison) {
-	for i := range rows {
-		rows[i].BaseCompile = 0
-		rows[i].SpecCompile = 0
-	}
-}
-
 func TestFigure7ParallelMatchesSerial(t *testing.T) {
 	cfg := workloads.BuildConfig{Tasks: 4}
 	serial, err := Figure7(cfg, 1)
@@ -32,8 +24,6 @@ func TestFigure7ParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parallel: %v", err)
 	}
-	stripCompileTimes(serial)
-	stripCompileTimes(parallel)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("Figure7 with 8 workers differs from serial:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}
@@ -55,10 +45,24 @@ func TestSensitivityParallelMatchesSerial(t *testing.T) {
 	}
 	for variant, srows := range serial {
 		prows := parallel[variant]
-		stripCompileTimes(srows)
-		stripCompileTimes(prows)
 		if !reflect.DeepEqual(srows, prows) {
 			t.Fatalf("Sensitivity variant %q with 8 workers differs from serial:\nserial:   %+v\nparallel: %+v", variant, srows, prows)
 		}
+	}
+}
+
+// TestMarkdownReportParallelMatchesSerial: the full markdown report is
+// byte-identical at one and two workers. It carries no wall-clock
+// figures, so any difference is a determinism bug.
+func TestMarkdownReportParallelMatchesSerial(t *testing.T) {
+	var serial, parallel strings.Builder
+	if err := WriteMarkdownReport(&serial, workloads.BuildConfig{Tasks: 4}, 20, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteMarkdownReport(&parallel, workloads.BuildConfig{Tasks: 4}, 20, 2); err != nil {
+		t.Fatal(err)
+	}
+	if serial.String() != parallel.String() {
+		t.Fatalf("markdown report differs between -j 1 and -j 2:\n-j 1:\n%s\n-j 2:\n%s", serial.String(), parallel.String())
 	}
 }

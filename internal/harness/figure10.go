@@ -71,7 +71,7 @@ func RunFunnel(n int, seed uint64, parallelism int) (*FunnelResult, error) {
 	outcomes := make([]funnelOutcome, len(apps))
 	err := forEach("funnel", parallelism, len(apps), func(i int) error {
 		app := apps[i]
-		baseComp, err := compile(app.Module, core.BaselineOptions())
+		baseComp, err := core.Compile(app.Module, core.BaselineOptions())
 		if err != nil {
 			return fmt.Errorf("%s: baseline compile: %w", app.Name, err)
 		}
@@ -98,7 +98,7 @@ func RunFunnel(n int, seed uint64, parallelism int) (*FunnelResult, error) {
 		// Fail-safe compilation: a detector-annotated kernel the static
 		// verifier rejects is measured as its PDOM fallback (and counted)
 		// instead of killing the whole campaign.
-		specComp, err := compileSafe(annotated, core.SpecReconOptions())
+		specComp, err := core.CompileSafe(annotated, core.SpecReconOptions())
 		if err != nil {
 			return fmt.Errorf("%s: auto compile: %w", app.Name, err)
 		}
@@ -161,7 +161,7 @@ func AutoComparison(w *workloads.Workload, cfg workloads.BuildConfig) (Compariso
 	}
 	applied := core.AutoAnnotate(stripped, core.DefaultAutoDetectOptions())
 
-	baseComp, base, err := Run(inst, core.BaselineOptions())
+	_, base, err := Run(inst, core.BaselineOptions())
 	if err != nil {
 		return Comparison{}, nil, err
 	}
@@ -187,8 +187,6 @@ func AutoComparison(w *workloads.Workload, cfg workloads.BuildConfig) (Compariso
 		BaseIssues:   base.Metrics.Issues,
 		SpecIssues:   spec.Metrics.Issues,
 		Conflicts:    len(comp.Conflicts),
-		BaseCompile:  baseComp.CompileTime,
-		SpecCompile:  comp.CompileTime,
 		SpecPipeline: comp.Pipeline,
 	}, applied, nil
 }

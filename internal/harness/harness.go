@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"specrecon/internal/core"
 	"specrecon/internal/diffcheck"
@@ -20,7 +19,7 @@ import (
 
 // Run compiles one workload instance with the given options and runs it.
 func Run(inst *workloads.Instance, opts core.Options) (*core.Compilation, *simt.Result, error) {
-	comp, err := compile(inst.Module, opts)
+	comp, err := core.Compile(inst.Module, opts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("compile %s: %w", inst.Module.Name, err)
 	}
@@ -57,7 +56,7 @@ func launchConfig(inst *workloads.Instance) simt.Config {
 // built from RunSafe therefore always complete, with fallbacks reported
 // rather than aborting the whole figure.
 func RunSafe(inst *workloads.Instance, opts core.Options) (*core.SafeCompilation, *simt.Result, error) {
-	comp, err := compileSafe(inst.Module, opts)
+	comp, err := core.CompileSafe(inst.Module, opts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("compile %s: %w", inst.Module.Name, err)
 	}
@@ -80,10 +79,7 @@ type Comparison struct {
 	SpecIssues int64
 	Conflicts  int
 	Threshold  int // effective soft-barrier threshold (0 = hard barrier)
-	// BaseCompile/SpecCompile are the compiler pipeline wall times for
-	// each build; SpecPipeline is the pass spec the optimized build ran.
-	BaseCompile  time.Duration
-	SpecCompile  time.Duration
+	// SpecPipeline is the pass spec the optimized build ran.
 	SpecPipeline string
 	// FellBack records that the speculative build was rejected by the
 	// static barrier verifier and the row measured the PDOM fallback
@@ -137,7 +133,7 @@ func Compare(w *workloads.Workload, cfg workloads.BuildConfig, thresholdOverride
 // instead of failing the experiment.
 func CompareOpts(w *workloads.Workload, cfg workloads.BuildConfig, specOpts core.Options) (Comparison, error) {
 	inst := w.Build(cfg)
-	baseComp, base, err := Run(inst, core.BaselineOptions())
+	_, base, err := Run(inst, core.BaselineOptions())
 	if err != nil {
 		return Comparison{}, err
 	}
@@ -163,8 +159,6 @@ func CompareOpts(w *workloads.Workload, cfg workloads.BuildConfig, specOpts core
 		SpecIssues:   spec.Metrics.Issues,
 		Conflicts:    len(comp.Conflicts),
 		Threshold:    threshold,
-		BaseCompile:  baseComp.CompileTime,
-		SpecCompile:  comp.CompileTime,
 		SpecPipeline: comp.Pipeline,
 		FellBack:     comp.FellBack,
 	}
@@ -272,7 +266,7 @@ func Figure9(name string, cfg workloads.BuildConfig, thresholds []int, paralleli
 		specOpts := core.SpecReconOptions()
 		specOpts.ThresholdOverride = t
 		specOpts.AssumeVerified = true
-		comp, err := compile(inst.Module, specOpts)
+		comp, err := core.Compile(inst.Module, specOpts)
 		if err != nil {
 			return fmt.Errorf("threshold %d: %w", t, err)
 		}

@@ -42,7 +42,7 @@ func CollectOccupancy(cfg workloads.BuildConfig, stride int64, parallelism int) 
 		inst := ws[i].Build(cfg)
 		specOpts := core.SpecReconOptions()
 		specOpts.ThresholdOverride = -1
-		comp, err := compile(inst.Module, specOpts)
+		comp, err := core.Compile(inst.Module, specOpts)
 		if err != nil {
 			return fmt.Errorf("compile %s: %w", inst.Module.Name, err)
 		}

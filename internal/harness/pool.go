@@ -126,9 +126,8 @@ func forEach(driver string, parallelism, n int, fn func(i int) error) error {
 // workers and returns every task's error slot (nil on success), indexed
 // by task. Unlike forEach, an error — or a panic, contained to a typed
 // *TaskPanicError — does NOT stop the fan-out: every task runs to
-// completion. Campaign drivers (cmd/schedhunt) use it so one
-// pathological kernel × schedule yields one typed finding while the
-// sweep finishes. driver labels the fan-out in the installed telemetry
+// completion. The campaign loop (Check) uses it so one pathological
+// kernel × schedule yields one typed finding while the sweep finishes. driver labels the fan-out in the installed telemetry
 // registry.
 func RunTasks(driver string, parallelism, n int, fn func(i int) error) []error {
 	pm := poolStart(driver, n)

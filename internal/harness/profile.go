@@ -19,7 +19,7 @@ import (
 // CollectProfile runs the baseline build of inst and returns per-block
 // active-lane visit counts keyed by block name, for every function.
 func CollectProfile(inst *workloads.Instance) (map[string]int64, error) {
-	comp, err := compile(inst.Module, core.BaselineOptions())
+	comp, err := core.Compile(inst.Module, core.BaselineOptions())
 	if err != nil {
 		return nil, err
 	}

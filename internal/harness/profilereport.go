@@ -22,7 +22,7 @@ type WorkloadProfile struct {
 // runProfiled compiles inst with opts and runs it with an attached
 // profiler.
 func runProfiled(inst *workloads.Instance, opts core.Options) (*obs.Profile, error) {
-	comp, err := compile(inst.Module, opts)
+	comp, err := core.Compile(inst.Module, opts)
 	if err != nil {
 		return nil, fmt.Errorf("compile %s: %w", inst.Module.Name, err)
 	}
@@ -118,7 +118,7 @@ func DumpTraces(dir string, cfg workloads.BuildConfig, parallelism int) ([]strin
 				return o
 			}()},
 		} {
-			comp, err := compile(inst.Module, build.opts)
+			comp, err := core.Compile(inst.Module, build.opts)
 			if err != nil {
 				return fmt.Errorf("compile %s: %w", ws[i].Name, err)
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"specrecon/internal/simt"
 	"specrecon/internal/workloads"
@@ -47,11 +46,10 @@ func WriteMarkdownReport(out io.Writer, cfg workloads.BuildConfig, funnelApps, p
 
 	fmt.Fprintln(out, "## Compile time — pass-pipeline cost per benchmark")
 	fmt.Fprintln(out)
-	fmt.Fprintln(out, "| benchmark | base compile | spec compile | spec pipeline |")
-	fmt.Fprintln(out, "|-----------|-------------:|-------------:|---------------|")
+	fmt.Fprintln(out, "| benchmark | spec pipeline |")
+	fmt.Fprintln(out, "|-----------|---------------|")
 	for _, r := range rows {
-		fmt.Fprintf(out, "| %s | %s | %s | `%s` |\n",
-			r.Name, r.BaseCompile.Round(time.Microsecond), r.SpecCompile.Round(time.Microsecond), r.SpecPipeline)
+		fmt.Fprintf(out, "| %s | `%s` |\n", r.Name, r.SpecPipeline)
 	}
 	fmt.Fprintln(out)
 

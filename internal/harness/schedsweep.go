@@ -77,7 +77,7 @@ func SchedSensitivity(name string, cfg workloads.BuildConfig, policies []simt.Sc
 		specOpts := core.SpecReconOptions()
 		specOpts.ThresholdOverride = thr
 		specOpts.AssumeVerified = true
-		comp, err := compile(inst.Module, specOpts)
+		comp, err := core.Compile(inst.Module, specOpts)
 		if err != nil {
 			return fmt.Errorf("policy %s threshold %d: %w", pol, thr, err)
 		}

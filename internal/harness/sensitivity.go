@@ -48,7 +48,7 @@ func NoMLPVariant() ModelVariant {
 func CompareWithCache(w *workloads.Workload, cfg workloads.BuildConfig, cache simt.CacheConfig) (Comparison, error) {
 	inst := w.Build(cfg)
 	runC := func(opts core.Options) (*simt.Result, error) {
-		comp, err := compile(inst.Module, opts)
+		comp, err := core.Compile(inst.Module, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -18,8 +18,8 @@
 // families sorted by name, series by label values — which the exporters
 // and the tests consume; callback-backed families (CounterFunc /
 // GaugeFunc) are evaluated only at snapshot time, so instrumenting a
-// subsystem that already keeps its own counters (internal/ccache) costs
-// nothing on its hot path.
+// subsystem that already keeps its own counters costs nothing on its
+// hot path.
 package telemetry
 
 import (

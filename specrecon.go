@@ -24,7 +24,6 @@ import (
 	"io"
 
 	"specrecon/internal/analyze"
-	"specrecon/internal/ccache"
 	"specrecon/internal/core"
 	"specrecon/internal/diffcheck"
 	"specrecon/internal/harness"
@@ -415,30 +414,6 @@ type Machine = simt.Machine
 // budgets and sinks, but not the shape (kernel, thread/grid geometry,
 // policy, model, cache).
 func NewMachine(m *Module, cfg RunConfig) (*Machine, error) { return simt.NewMachine(m, cfg) }
-
-// Compile caching (internal/ccache): a content-addressed,
-// byte-budgeted LRU memoizing Compile/CompileSafe/Diagnose results
-// keyed by (canonical IR, pipeline spec, options fingerprint). All
-// methods on a nil *CompileCache forward to the direct compile path,
-// so a cache pointer can be plumbed unconditionally.
-type (
-	CompileCache      = ccache.Cache
-	CompileCacheStats = ccache.Stats
-)
-
-// NewCompileCache returns an empty compile cache bounded to maxBytes of
-// estimated retained compilation size (0 selects the default budget).
-func NewCompileCache(maxBytes int64) *CompileCache { return ccache.New(maxBytes) }
-
-// UseCompileCache installs (or, with nil, removes) the compile cache
-// that every experiment driver in this package — the Figure functions,
-// RunFunnel — compiles through, returning the previous cache. Read
-// hit/miss counters via DriverCacheStats.
-func UseCompileCache(c *CompileCache) *CompileCache { return harness.UseCompileCache(c) }
-
-// DriverCacheStats snapshots the experiment drivers' installed compile
-// cache counters (zero when none is installed).
-func DriverCacheStats() CompileCacheStats { return harness.CompileCacheStats() }
 
 // Workload access: the paper's benchmark suite (Table 2).
 type (
