@@ -414,12 +414,12 @@ func BenchmarkCompile(b *testing.B) {
 
 // BenchmarkLaunchReuse measures the steady-state cost of relaunching
 // one compilation — the inner loop of every sweep — through a reusable
-// specrecon.Machine. The pre capture (testdata/bench_sweep_pre.txt) ran
-// the same launches through fresh specrecon.Run calls; the arena keeps
-// warp scratch, per-SM machines, event buffers and metrics alive, so
-// allocs/op is the per-launch arena overhead, not the construction cost,
-// and the 8-SM variant's bytes/op no longer scales with the full
-// memory-image size (copy-on-write SM memory pays per dirty page).
+// specrecon.Machine. The arena keeps warp scratch, per-SM machines,
+// event buffers and metrics alive, so allocs/op is the per-launch arena
+// overhead, not the construction cost, and the 8-SM variant's bytes/op
+// no longer scales with the full memory-image size (copy-on-write SM
+// memory pays per dirty page). TestLaunchReuseAllocBound gates the same
+// launches.
 func BenchmarkLaunchReuse(b *testing.B) {
 	b.Run("flat", func(b *testing.B) {
 		inst := buildNamed(b, "xsbench")
@@ -511,11 +511,12 @@ func BenchmarkHarness(b *testing.B) {
 
 // BenchmarkGPUScale measures the GPU-scale engine: the speculative build
 // of RSBench launched as a fixed 16-CTA grid while the SM count and the
-// worker shards scale — the strong-scaling capture behind BENCH_6.json.
-// Modeled sim_cycles drop as the CTAs spread over more SMs (each SM runs
-// its share concurrently and the launch takes the slowest SM's cycles);
-// wall-clock gains from -workers only appear on multi-core machines, and
-// the results are byte-identical at any worker count.
+// worker shards scale. Modeled sim_cycles drop as the CTAs spread over
+// more SMs (each SM runs its share concurrently and the launch takes the
+// slowest SM's cycles); wall-clock gains from -workers only appear on
+// multi-core machines, and the results are byte-identical at any worker
+// count. TestGPUScaleGridPinned pins the 8-SM sharded launch's cycles
+// and gates its bytes.
 func BenchmarkGPUScale(b *testing.B) {
 	w, err := specrecon.WorkloadByName("rsbench")
 	if err != nil {

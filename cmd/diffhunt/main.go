@@ -18,8 +18,7 @@
 // pipeline, and classified repaired vs fallback; each repaired build is
 // differentially checked against the un-repaired PDOM baseline. The
 // campaign fails unless the post-repair fallback rate strictly improves
-// on the pre-repair rate. -ledger appends the rates as a
-// "diffhunt-repair" record for perfledger gating.
+// on the pre-repair rate.
 //
 // Exit status: 0 when every check passed and (with -matrix) every
 // injected fault was detected as expected; 1 otherwise. Kernels whose
@@ -52,20 +51,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("diffhunt", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		n          = fs.Int("n", 500, "number of corpus applications to generate")
-		seed       = fs.Uint64("seed", 42, "corpus generation seed")
-		jobs       = fs.Int("j", 0, "parallel workers (0 = GOMAXPROCS)")
-		matrix     = fs.Bool("matrix", false, "also run the fault-injection matrix and require every fault detected")
-		repair     = fs.Bool("repair", false, "run the automated-repair campaign instead of the standard one (matrix + corpus fault plants through repair-then-reverify)")
-		ledgerPath = fs.String("ledger", "", "with -repair, append the campaign record to this runs.jsonl ledger")
-		mutate     = fs.Int("mutate", 0, "additionally check up to this many structural mutants per kernel")
-		maxIssues  = fs.Int64("max-issues", 0, "per-run issue budget (0 = checker default)")
-		repros     = fs.String("repros", "testdata/repros", "directory for minimized .sasm repros of findings")
-		verbose    = fs.Bool("v", false, "print one line per kernel")
-		policy     = fs.String("policy", "maxgroup", "intra-warp group pick for both runs: maxgroup | minpc | roundrobin")
-		sched      = fs.String("sched", "greedy", "warp scheduler for the speculative run: greedy | oldest | youngest | obe | random (cmd/schedhunt sweeps these)")
-		schedSeed  = fs.Uint64("sched-seed", 0, "seed for -sched random")
-		starveLim  = fs.Int64("starve-limit", 0, "arm the starvation monitor on the speculative run with this cycle budget (0 = off)")
+		n         = fs.Int("n", 500, "number of corpus applications to generate")
+		seed      = fs.Uint64("seed", 42, "corpus generation seed")
+		jobs      = fs.Int("j", 0, "parallel workers (0 = GOMAXPROCS)")
+		matrix    = fs.Bool("matrix", false, "also run the fault-injection matrix and require every fault detected")
+		repair    = fs.Bool("repair", false, "run the automated-repair campaign instead of the standard one (matrix + corpus fault plants through repair-then-reverify)")
+		mutate    = fs.Int("mutate", 0, "additionally check up to this many structural mutants per kernel")
+		maxIssues = fs.Int64("max-issues", 0, "per-run issue budget (0 = checker default)")
+		repros    = fs.String("repros", "testdata/repros", "directory for minimized .sasm repros of findings")
+		verbose   = fs.Bool("v", false, "print one line per kernel")
+		policy    = fs.String("policy", "maxgroup", "intra-warp group pick for both runs: maxgroup | minpc | roundrobin")
+		sched     = fs.String("sched", "greedy", "warp scheduler for the speculative run: greedy | oldest | youngest | obe | random (cmd/schedhunt sweeps these)")
+		schedSeed = fs.Uint64("sched-seed", 0, "seed for -sched random")
+		starveLim = fs.Int64("starve-limit", 0, "arm the starvation monitor on the speculative run with this cycle budget (0 = off)")
 	)
 	if err := fs.Parse(args); err == flag.ErrHelp {
 		return 0
@@ -91,7 +89,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		failures += h.runMatrix()
 	}
 	if *repair {
-		failures += h.runRepairCampaign(*n, *seed, *ledgerPath)
+		failures += h.runRepairCampaign(*n, *seed)
 	} else {
 		failures += h.runCampaign(*n, *seed, *mutate, schedOpts)
 	}

@@ -30,17 +30,33 @@ func TestSeededCampaignExitsZero(t *testing.T) {
 	}
 }
 
+// TestRepairCampaignExitsZero pins the repair campaign's counts and
+// fallback rates exactly: the campaign is deterministic, so any drift
+// in repair coverage or in the proof obligations shows up here. The
+// n=120 case is the repair-smoke campaign.
 func TestRepairCampaignExitsZero(t *testing.T) {
-	code, out, errOut := huntRun(t, "-repair", "-n", "10", "-seed", "42", "-j", "2")
-	if code != 0 {
-		t.Fatalf("exit %d, stderr %q", code, errOut)
-	}
-	for _, want := range []string{
-		"diffhunt repair: 23 planted, 12 repaired, 11 fallback, 0 quiet, 54 skipped, 0 mismatches, 0 findings\n",
-		"diffhunt repair: fail-safe fallback rate 100.0% pre-repair -> 47.8% post-repair\n",
+	for _, tc := range []struct {
+		n            string
+		counts, rate string
+	}{
+		{"10",
+			"23 planted, 12 repaired, 11 fallback, 0 quiet, 54 skipped, 0 mismatches, 0 findings",
+			"100.0% pre-repair -> 47.8% post-repair"},
+		{"120",
+			"173 planted, 41 repaired, 132 fallback, 0 quiet, 674 skipped, 0 mismatches, 0 findings",
+			"100.0% pre-repair -> 76.3% post-repair"},
 	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output lacks %q:\n%s", want, out)
+		code, out, errOut := huntRun(t, "-repair", "-n", tc.n, "-seed", "42", "-j", "2")
+		if code != 0 {
+			t.Fatalf("-n %s: exit %d, stderr %q", tc.n, code, errOut)
+		}
+		for _, want := range []string{
+			"diffhunt repair: " + tc.counts + "\n",
+			"diffhunt repair: fail-safe fallback rate " + tc.rate + "\n",
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("-n %s: output lacks %q:\n%s", tc.n, want, out)
+			}
 		}
 	}
 }

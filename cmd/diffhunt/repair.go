@@ -8,7 +8,6 @@ import (
 	"specrecon/internal/corpus"
 	"specrecon/internal/diffcheck"
 	"specrecon/internal/harness"
-	"specrecon/internal/telemetry"
 )
 
 // repairStats aggregates the repair campaign across both legs. The
@@ -63,7 +62,7 @@ func (s repairStats) postRate() float64 {
 // matrix's WantRepaired column, proof-obligation findings, and a
 // post-repair fallback rate that has not strictly improved on the
 // pre-repair rate.
-func (h hunt) runRepairCampaign(n int, seed uint64, ledgerPath string) int {
+func (h hunt) runRepairCampaign(n int, seed uint64) int {
 	var st repairStats
 	h.runRepairMatrix(&st)
 	h.runRepairCorpus(&st, n, seed)
@@ -82,28 +81,6 @@ func (h hunt) runRepairCampaign(n int, seed uint64, ledgerPath string) int {
 		failures++
 	}
 
-	if ledgerPath != "" {
-		rec := telemetry.RunRecord{
-			Time:   telemetry.NowRFC3339(),
-			Tool:   "diffhunt-repair",
-			GitRev: telemetry.GitRev(),
-			Config: telemetry.Fingerprint(map[string]any{"n": n, "seed": seed, "maxIssues": h.maxIssues}),
-			Metrics: map[string]float64{
-				"planted":                  float64(st.planted),
-				"repaired":                 float64(st.repaired),
-				"fallbacks":                float64(st.fallbacks),
-				"quiet":                    float64(st.quiet),
-				"skips":                    float64(st.skips),
-				"findings":                 float64(st.findings),
-				"pre_repair_fallback_rate": st.preRate(),
-				"repair_fallback_rate":     st.postRate(),
-			},
-		}
-		if err := telemetry.AppendRecord(ledgerPath, rec); err != nil {
-			fmt.Fprintf(h.stderr, "diffhunt: %v\n", err)
-			failures++
-		}
-	}
 	return failures
 }
 

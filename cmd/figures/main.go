@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"specrecon/internal/harness"
 	"specrecon/internal/prof"
@@ -25,24 +24,23 @@ import (
 
 func main() {
 	var (
-		fig        = flag.String("fig", "all", "7 | 8 | 9 | 10 | all")
-		threads    = flag.Int("threads", 0, "thread count (0 = default)")
-		apps       = flag.Int("apps", 520, "corpus size for the section 5.4 funnel")
-		seed       = flag.Uint64("seed", 0, "workload seed (0 = default)")
-		grid       = flag.Int("grid", 0, "CTAs in a grid launch (0 = flat single-SM launch; overrides -threads)")
-		ctasize    = flag.Int("ctasize", 0, "threads per CTA for -grid (0 = one warp)")
-		sms        = flag.Int("sms", 0, "streaming multiprocessors for -grid (0 = 1)")
-		workers    = flag.Int("workers", 0, "goroutines simulating SMs (0 = serial; results are identical)")
-		policy     = flag.String("policy", "maxgroup", "intra-warp group pick: maxgroup | minpc | roundrobin")
-		sched      = flag.String("sched", "greedy", "warp scheduler: greedy | oldest | youngest | obe | random")
-		schedSeed  = flag.Uint64("sched-seed", 0, "seed for -sched random")
-		markdown   = flag.Bool("markdown", false, "emit the full suite as markdown tables (EXPERIMENTS.md style)")
-		traceDir   = flag.String("trace-dir", "", "also dump per-workload Perfetto traces (baseline and spec) into this directory")
-		jobs       = flag.Int("j", 0, "worker-pool size for the experiment drivers (0 = GOMAXPROCS, 1 = serial)")
-		cpuprof    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof    = flag.String("memprofile", "", "write a heap profile to this file")
-		telemAddr  = flag.String("telemetry-addr", "", "serve /metrics, /metrics.json and /healthz on this address while running")
-		ledgerPath = flag.String("ledger", "", "append a run record (wall time and registry metrics) to this JSONL ledger")
+		fig       = flag.String("fig", "all", "7 | 8 | 9 | 10 | all")
+		threads   = flag.Int("threads", 0, "thread count (0 = default)")
+		apps      = flag.Int("apps", 520, "corpus size for the section 5.4 funnel")
+		seed      = flag.Uint64("seed", 0, "workload seed (0 = default)")
+		grid      = flag.Int("grid", 0, "CTAs in a grid launch (0 = flat single-SM launch; overrides -threads)")
+		ctasize   = flag.Int("ctasize", 0, "threads per CTA for -grid (0 = one warp)")
+		sms       = flag.Int("sms", 0, "streaming multiprocessors for -grid (0 = 1)")
+		workers   = flag.Int("workers", 0, "goroutines simulating SMs (0 = serial; results are identical)")
+		policy    = flag.String("policy", "maxgroup", "intra-warp group pick: maxgroup | minpc | roundrobin")
+		sched     = flag.String("sched", "greedy", "warp scheduler: greedy | oldest | youngest | obe | random")
+		schedSeed = flag.Uint64("sched-seed", 0, "seed for -sched random")
+		markdown  = flag.Bool("markdown", false, "emit the full suite as markdown tables (EXPERIMENTS.md style)")
+		traceDir  = flag.String("trace-dir", "", "also dump per-workload Perfetto traces (baseline and spec) into this directory")
+		jobs      = flag.Int("j", 0, "worker-pool size for the experiment drivers (0 = GOMAXPROCS, 1 = serial)")
+		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memprof   = flag.String("memprofile", "", "write a heap profile to this file")
+		telemAddr = flag.String("telemetry-addr", "", "serve /metrics, /metrics.json and /healthz on this address while running")
 	)
 	flag.Parse()
 	pol, err := simt.ParsePolicy(*policy)
@@ -61,12 +59,9 @@ func main() {
 		Policy: pol, Sched: sp, SchedSeed: *schedSeed,
 	}
 
-	var reg *telemetry.Registry
-	if *telemAddr != "" || *ledgerPath != "" {
-		reg = telemetry.New()
-		harness.UseTelemetry(reg)
-	}
 	if *telemAddr != "" {
+		reg := telemetry.New()
+		harness.UseTelemetry(reg)
 		srv, err := telemetry.Serve(*telemAddr, reg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "figures:", err)
@@ -75,7 +70,6 @@ func main() {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "figures: telemetry on http://%s/metrics\n", srv.Addr())
 	}
-	started := time.Now()
 
 	stopProf, err := prof.Start(*cpuprof, *memprof)
 	if err != nil {
@@ -97,26 +91,6 @@ func main() {
 		fmt.Printf("wrote %d traces to %s (open in ui.perfetto.dev)\n", len(paths), *traceDir)
 	}
 
-	// finish appends the run-ledger record both exit paths share.
-	finish := func() {
-		if *ledgerPath != "" {
-			rec := telemetry.RunRecord{
-				Time:    telemetry.NowRFC3339(),
-				Tool:    "figures",
-				GitRev:  telemetry.GitRev(),
-				Config:  telemetry.Fingerprint(cfg),
-				Metrics: reg.LedgerMetrics(),
-			}
-			rec.Metrics["wall_seconds"] = time.Since(started).Seconds()
-			if err := telemetry.AppendRecord(*ledgerPath, rec); err != nil {
-				fmt.Fprintln(os.Stderr, "figures:", err)
-				os.Exit(2)
-			}
-			fmt.Fprintf(os.Stderr, "figures: appended run record (%d metrics) to %s\n",
-				len(rec.Metrics), *ledgerPath)
-		}
-	}
-
 	if *markdown {
 		if err := harness.WriteMarkdownReport(os.Stdout, cfg, *apps, *jobs); err != nil {
 			stopProf()
@@ -124,7 +98,6 @@ func main() {
 			os.Exit(1)
 		}
 		dumpTraces()
-		finish()
 		return
 	}
 
@@ -144,7 +117,6 @@ func main() {
 	run("9", func() error { return figure9(cfg, *jobs) })
 	run("10", func() error { return figure10(cfg, *apps, *jobs) })
 	dumpTraces()
-	finish()
 }
 
 func figure7(cfg workloads.BuildConfig, jobs int) error {

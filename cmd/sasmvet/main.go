@@ -35,6 +35,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -45,29 +46,35 @@ import (
 	"specrecon/internal/corpus"
 	"specrecon/internal/ir"
 	"specrecon/internal/repair"
-	"specrecon/internal/telemetry"
 	"specrecon/internal/workloads"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command behind main: it parses args, vets the modules and
+// returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sasmvet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		vetWorkloads = flag.Bool("workloads", false, "vet every bundled paper workload")
-		corpusN      = flag.Int("corpus", 0, "vet a synthetic corpus of this many generated kernels")
-		corpusSeed   = flag.Uint64("corpus-seed", 42, "seed for -corpus generation")
-		compiled     = flag.Bool("compiled", false, "vet the compiled module (full speculative pipeline with barrier provenance) instead of the raw input")
-		sarifOut     = flag.String("sarif", "", "write a SARIF 2.1.0 report to this file (\"-\" for stdout)")
-		failOn       = flag.String("fail-on", "error", "exit 1 when a diagnostic of at least this severity exists: note | warning | error")
-		effFlag      = flag.Bool("eff", false, "print the static SIMT-efficiency estimate per kernel")
-		effBelow     = flag.Float64("eff-below", 0, "note kernels with static efficiency below this threshold (0 disables)")
-		quiet        = flag.Bool("q", false, "suppress per-diagnostic text output (summary and exit code only)")
-		ledgerPath   = flag.String("ledger", "", "append a run record (module/diagnostic counts) to this JSONL ledger")
-		fix          = flag.Bool("fix", false, "apply the diagnostics' machine edits to fixpoint (internal/repair); raw-mode file inputs are rewritten in place")
-		fixDryRun    = flag.Bool("fix-dry-run", false, "like -fix but never writes: report the repairs and exit on the post-repair diagnostics")
-		fixDiff      = flag.Bool("fix-diff", false, "with -fix/-fix-dry-run, print a line diff of each repaired module (implies -fix-dry-run when given alone)")
-		injectSpec   = flag.String("inject", "", "with -compiled, plant this fault plan (core.ParseFaultPlan syntax, e.g. drop-cancel@1) before vetting")
+		vetWorkloads = fs.Bool("workloads", false, "vet every bundled paper workload")
+		corpusN      = fs.Int("corpus", 0, "vet a synthetic corpus of this many generated kernels")
+		corpusSeed   = fs.Uint64("corpus-seed", 42, "seed for -corpus generation")
+		compiled     = fs.Bool("compiled", false, "vet the compiled module (full speculative pipeline with barrier provenance) instead of the raw input")
+		sarifOut     = fs.String("sarif", "", "write a SARIF 2.1.0 report to this file (\"-\" for stdout)")
+		failOn       = fs.String("fail-on", "error", "exit 1 when a diagnostic of at least this severity exists: note | warning | error")
+		effFlag      = fs.Bool("eff", false, "print the static SIMT-efficiency estimate per kernel")
+		effBelow     = fs.Float64("eff-below", 0, "note kernels with static efficiency below this threshold (0 disables)")
+		quiet        = fs.Bool("q", false, "suppress per-diagnostic text output (summary and exit code only)")
+		fix          = fs.Bool("fix", false, "apply the diagnostics' machine edits to fixpoint (internal/repair); raw-mode file inputs are rewritten in place")
+		fixDryRun    = fs.Bool("fix-dry-run", false, "like -fix but never writes: report the repairs and exit on the post-repair diagnostics")
+		fixDiff      = fs.Bool("fix-diff", false, "with -fix/-fix-dry-run, print a line diff of each repaired module (implies -fix-dry-run when given alone)")
+		injectSpec   = fs.String("inject", "", "with -compiled, plant this fault plan (core.ParseFaultPlan syntax, e.g. drop-cancel@1) before vetting")
 	)
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, `usage: sasmvet [flags] [file.sasm | glob ...]
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, `usage: sasmvet [flags] [file.sasm | glob ...]
 
 Exit status:
   0  no diagnostic at or above -fail-on severity (post-repair with -fix*)
@@ -80,38 +87,42 @@ severity for that code.
 
 Flags:
 `)
-		flag.PrintDefaults()
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	failSev, err := analyze.ParseSeverity(*failOn)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sasmvet: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "sasmvet: %v\n", err)
+		return 2
 	}
 	fixMode := *fix || *fixDryRun || *fixDiff
 	var injectPlan core.FaultPlan
 	if *injectSpec != "" {
 		if !*compiled {
-			fmt.Fprintln(os.Stderr, "sasmvet: -inject requires -compiled (faults target the compiled barrier layout)")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "sasmvet: -inject requires -compiled (faults target the compiled barrier layout)")
+			return 2
 		}
 		injectPlan, err = core.ParseFaultPlan(*injectSpec)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sasmvet: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "sasmvet: %v\n", err)
+			return 2
 		}
 	}
 
-	mods, err := collectModules(flag.Args(), *vetWorkloads, *corpusN, *corpusSeed)
+	mods, err := collectModules(fs.Args(), *vetWorkloads, *corpusN, *corpusSeed)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sasmvet: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "sasmvet: %v\n", err)
+		return 2
 	}
 	if len(mods) == 0 {
-		fmt.Fprintln(os.Stderr, "sasmvet: nothing to vet (pass .sasm files, -workloads, or -corpus N)")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "sasmvet: nothing to vet (pass .sasm files, -workloads, or -corpus N)")
+		fs.Usage()
+		return 2
 	}
 
 	// In fix mode `all` holds the pre-repair findings (what the report
@@ -122,8 +133,8 @@ Flags:
 	for _, vm := range mods {
 		vr, err := vet(vm, *compiled, *effBelow, fixMode, injectPlan)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sasmvet: %s: %v\n", vm.label, err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "sasmvet: %s: %v\n", vm.label, err)
+			return 2
 		}
 		for _, d := range vr.diags {
 			if d.Fn == "" {
@@ -131,7 +142,7 @@ Flags:
 			}
 			all = append(all, d)
 			if !*quiet {
-				fmt.Printf("%s: %s\n", d.Severity, d)
+				fmt.Fprintf(stdout, "%s: %s\n", d.Severity, d)
 			}
 		}
 		for _, d := range vr.post {
@@ -148,25 +159,25 @@ Flags:
 		}
 		editsApplied += len(vr.report.Edits)
 		if !*quiet && len(vr.report.Edits) > 0 {
-			fmt.Printf("sasmvet: %s: %s\n", vm.label, vr.report.Summary())
+			fmt.Fprintf(stdout, "sasmvet: %s: %s\n", vm.label, vr.report.Summary())
 		}
 		if *fixDiff && len(vr.report.Edits) > 0 {
 			if vr.oldSrc != "" {
-				printDiff(vm.label, vr.oldSrc, vr.newSrc)
+				printDiff(stdout, vm.label, vr.oldSrc, vr.newSrc)
 			} else {
 				// Compiled artifacts have no source text to diff;
 				// list the applied edits instead.
 				for _, e := range vr.report.Edits {
-					fmt.Printf("  %s\n", e.Edit)
+					fmt.Fprintf(stdout, "  %s\n", e.Edit)
 				}
 			}
 		}
 		if *fix && vm.path != "" && len(vr.report.Edits) > 0 && vr.newSrc != "" {
 			if err := os.WriteFile(vm.path, []byte(vr.newSrc), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "sasmvet: %v\n", err)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "sasmvet: %v\n", err)
+				return 2
 			}
-			fmt.Printf("sasmvet: %s: rewrote with %d edit(s)\n", vm.path, len(vr.report.Edits))
+			fmt.Fprintf(stdout, "sasmvet: %s: rewrote with %d edit(s)\n", vm.path, len(vr.report.Edits))
 		}
 	}
 	// The -fail-on comparison follows the SR code table: a diagnostic
@@ -186,24 +197,24 @@ Flags:
 			return names[i] < names[j]
 		})
 		for _, n := range names {
-			fmt.Printf("eff %5.1f%%  %s\n", effs[n]*100, n)
+			fmt.Fprintf(stdout, "eff %5.1f%%  %s\n", effs[n]*100, n)
 		}
 	}
 
 	if *sarifOut != "" {
-		w := os.Stdout
+		w := stdout
 		if *sarifOut != "-" {
 			f, err := os.Create(*sarifOut)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "sasmvet: %v\n", err)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "sasmvet: %v\n", err)
+				return 2
 			}
 			defer f.Close()
 			w = f
 		}
 		if err := analyze.WriteSARIF(w, "sasmvet", all); err != nil {
-			fmt.Fprintf(os.Stderr, "sasmvet: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "sasmvet: %v\n", err)
+			return 2
 		}
 	}
 
@@ -220,40 +231,17 @@ Flags:
 	}
 	if fixMode {
 		postErrs := len(analyze.Filter(post, analyze.SeverityError))
-		fmt.Printf("sasmvet: %d module(s): %d error(s), %d warning(s), %d note(s); %d edit(s) applied, %d error(s) remain\n",
+		fmt.Fprintf(stdout, "sasmvet: %d module(s): %d error(s), %d warning(s), %d note(s); %d edit(s) applied, %d error(s) remain\n",
 			len(mods), errors, warnings, notes, editsApplied, postErrs)
 	} else {
-		fmt.Printf("sasmvet: %d module(s): %d error(s), %d warning(s), %d note(s)\n",
+		fmt.Fprintf(stdout, "sasmvet: %d module(s): %d error(s), %d warning(s), %d note(s)\n",
 			len(mods), errors, warnings, notes)
 	}
 
-	if *ledgerPath != "" {
-		rec := telemetry.RunRecord{
-			Time:   telemetry.NowRFC3339(),
-			Tool:   "sasmvet",
-			GitRev: telemetry.GitRev(),
-			Config: telemetry.Fingerprint(fmt.Sprintf("workloads=%v corpus=%d seed=%d compiled=%v fix=%v inject=%q args=%v",
-				*vetWorkloads, *corpusN, *corpusSeed, *compiled, fixMode, *injectSpec, flag.Args())),
-			Metrics: map[string]float64{
-				"modules":  float64(len(mods)),
-				"errors":   float64(errors),
-				"warnings": float64(warnings),
-				"notes":    float64(notes),
-			},
-		}
-		if fixMode {
-			rec.Metrics["edits_applied"] = float64(editsApplied)
-			rec.Metrics["post_errors"] = float64(len(analyze.Filter(post, analyze.SeverityError)))
-		}
-		if err := telemetry.AppendRecord(*ledgerPath, rec); err != nil {
-			fmt.Fprintf(os.Stderr, "sasmvet: %v\n", err)
-			os.Exit(2)
-		}
-	}
-
 	if len(analyze.Filter(post, failSev)) > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // normalizeSeverity aligns each diagnostic's severity with the SR code
@@ -271,7 +259,7 @@ func normalizeSeverity(diags []analyze.Diagnostic) {
 
 // printDiff prints a minimal LCS line diff between the module text
 // before and after repair.
-func printDiff(label, oldSrc, newSrc string) {
+func printDiff(w io.Writer, label, oldSrc, newSrc string) {
 	if oldSrc == newSrc {
 		return
 	}
@@ -291,7 +279,7 @@ func printDiff(label, oldSrc, newSrc string) {
 			}
 		}
 	}
-	fmt.Printf("--- %s\n+++ %s (repaired)\n", label, label)
+	fmt.Fprintf(w, "--- %s\n+++ %s (repaired)\n", label, label)
 	i, j := 0, 0
 	for i < n && j < m {
 		switch {
@@ -299,18 +287,18 @@ func printDiff(label, oldSrc, newSrc string) {
 			i++
 			j++
 		case lcs[i+1][j] >= lcs[i][j+1]:
-			fmt.Printf("-%s\n", a[i])
+			fmt.Fprintf(w, "-%s\n", a[i])
 			i++
 		default:
-			fmt.Printf("+%s\n", b[j])
+			fmt.Fprintf(w, "+%s\n", b[j])
 			j++
 		}
 	}
 	for ; i < n; i++ {
-		fmt.Printf("-%s\n", a[i])
+		fmt.Fprintf(w, "-%s\n", a[i])
 	}
 	for ; j < m; j++ {
-		fmt.Printf("+%s\n", b[j])
+		fmt.Fprintf(w, "+%s\n", b[j])
 	}
 }
 

@@ -13,7 +13,7 @@
 //	schedhunt -n 500 -seed 42                      # default policy × seed grid
 //	schedhunt -n 500 -policies obe,random -seeds 1,2,3,4
 //	schedhunt -matrix                              # planted scheduler-fault matrix
-//	schedhunt -n 60 -seeds 7 -stats stats.json -ledger runs.jsonl
+//	schedhunt -n 60 -seeds 7 -stats stats.json
 //
 // Exit status: 0 when every check passed (and, with -matrix, every
 // planted fault was caught at its pinned layer); 1 otherwise. Kernels
@@ -39,7 +39,6 @@ import (
 	"specrecon/internal/diffcheck"
 	"specrecon/internal/harness"
 	"specrecon/internal/simt"
-	"specrecon/internal/telemetry"
 )
 
 func main() {
@@ -63,10 +62,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		starveLimit = fs.Int64("starve-limit", 1<<21, "starvation monitor budget in cycles armed on every policy-scheduled run (0 = off)")
 		wallBudget  = fs.Duration("wall-budget", time.Minute, "wall-clock watchdog per simulator run (0 = off)")
 
-		repros     = fs.String("repros", "testdata/repros", "directory for minimized .sasm repros of findings")
-		statsPath  = fs.String("stats", "", "write campaign statistics as JSON to this file (\"-\" for stdout)")
-		ledgerPath = fs.String("ledger", "", "append the campaign record to this JSONL run ledger")
-		verbose    = fs.Bool("v", false, "print one line per check")
+		repros    = fs.String("repros", "testdata/repros", "directory for minimized .sasm repros of findings")
+		statsPath = fs.String("stats", "", "write campaign statistics as JSON to this file (\"-\" for stdout)")
+		verbose   = fs.Bool("v", false, "print one line per check")
 	)
 	if err := fs.Parse(args); err == flag.ErrHelp {
 		return 0
@@ -87,10 +85,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
-	reg := telemetry.New()
-	defer harness.UseTelemetry(harness.UseTelemetry(reg))
-
-	started := time.Now()
 	failures := 0
 	if *matrix {
 		failures += runMatrix(stdout, *verbose)
@@ -101,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxIssues: *maxIssues, starveLimit: *starveLimit, wallBudget: *wallBudget,
 		reproDir: *repros, verbose: *verbose,
 		stdout: stdout, stderr: stderr,
-	}, reg)
+	})
 	failures += st.Findings + st.Panics
 
 	fmt.Fprintf(stdout, "schedhunt: %d checks (%d kernels x %d policies x %d seeds), %d ok, %d skipped, %d findings, %d panics\n",
@@ -111,27 +105,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err := writeStats(*statsPath, stdout, st); err != nil {
 			return fail(err)
 		}
-	}
-	if *ledgerPath != "" {
-		rec := telemetry.RunRecord{
-			Time:   telemetry.NowRFC3339(),
-			Tool:   "schedhunt",
-			GitRev: telemetry.GitRev(),
-			Config: telemetry.Fingerprint(map[string]any{
-				"n": *n, "seed": *seed, "policies": *policies, "seeds": *seeds,
-				"maxIssues": *maxIssues, "starveLimit": *starveLimit,
-			}),
-			Metrics: reg.LedgerMetrics(),
-		}
-		rec.Metrics["wall_seconds"] = time.Since(started).Seconds()
-		rec.Metrics["checks"] = float64(st.Checks)
-		rec.Metrics["findings"] = float64(st.Findings)
-		rec.Metrics["skips"] = float64(st.Skips)
-		rec.Metrics["panics"] = float64(st.Panics)
-		if err := telemetry.AppendRecord(*ledgerPath, rec); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stderr, "schedhunt: appended run record (%d metrics) to %s\n", len(rec.Metrics), *ledgerPath)
 	}
 	if failures > 0 {
 		return 1
@@ -244,7 +217,7 @@ type Stats struct {
 // sweep is done. A pathological kernel×schedule that panics surfaces
 // as a contained panic with an unminimized repro, and the rest of the
 // sweep still runs.
-func runCampaign(cc campaignConfig, reg *telemetry.Registry) Stats {
+func runCampaign(cc campaignConfig) Stats {
 	apps := corpus.Generate(cc.n, cc.seed)
 
 	// The analyzer verdict per kernel, computed once: a statically
@@ -284,11 +257,6 @@ func runCampaign(cc campaignConfig, reg *telemetry.Registry) Stats {
 		}
 	}
 
-	checksVec := reg.Counter("schedhunt_checks_total",
-		"Differential checks completed, per scheduling policy.", "policy")
-	findingsVec := reg.Counter("schedhunt_findings_total",
-		"Schedule-dependent findings, per policy and detection layer.", "policy", "layer")
-
 	st := Stats{Kernels: len(apps), Checks: len(cells),
 		PerPolicy: map[string]int{}, PerLayer: map[string]int{}}
 	for i, o := range harness.Check("schedhunt", cc.jobs, cells) {
@@ -300,7 +268,6 @@ func runCampaign(cc campaignConfig, reg *telemetry.Registry) Stats {
 			st.writeRepro(cc, c, o)
 			continue
 		}
-		checksVec.With(pol.String()).Add(1)
 		switch {
 		case o.Res.OK:
 			st.OK++
@@ -317,7 +284,6 @@ func runCampaign(cc campaignConfig, reg *telemetry.Registry) Stats {
 			st.Findings++
 			st.PerPolicy[pol.String()]++
 			st.PerLayer[string(layer)]++
-			findingsVec.With(pol.String(), string(layer)).Add(1)
 			verdict := "analyzer flags this kernel: schedule dependence expected"
 			if clean[i/perApp] {
 				verdict = "analyzer-clean kernel: indicts an engine or a progress-model reliance"

@@ -37,6 +37,12 @@ const WarpWidth = 32
 // barriers onto this budget.
 const NumBarrierRegs = 16
 
+// maxVirtualBarriers bounds the barrier index a module may name before
+// allocation. The analyses size per-barrier tables by the highest index
+// in use, so an absurd index in parsed input would otherwise exhaust
+// memory.
+const maxVirtualBarriers = 1 << 12
+
 // Instr is one instruction. Operand meaning depends on Op; see the opInfo
 // table in op.go. Unused fields are zero / NoReg.
 type Instr struct {

@@ -119,6 +119,7 @@ func TestParseErrors(t *testing.T) {
 		{"trailing operand", "module m\nfunc @f nregs=2 nfregs=0 {\ne:\n  mov r0, r1, r1\n  exit\n}", "trailing operands"},
 		{"bad threshold", "module m\nfunc @f nregs=1 nfregs=0 {\ne:\n  waitn b0, x\n  exit\n}", "bad threshold"},
 		{"instr before block", "module m\nfunc @f nregs=1 nfregs=0 {\n  exit\n}", "before any block"},
+		{"huge barrier", "module m\nfunc @f nregs=1 nfregs=0 {\ne:\n  cancel b09999999999999\n  exit\n}", "beyond the 4096 virtual barriers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -158,6 +158,9 @@ func verifyOperands(f *Function, b *Block, i int, in *Instr) []error {
 		if in.Bar < 0 {
 			at("negative barrier register %d", in.Bar)
 		}
+		if in.Bar >= maxVirtualBarriers {
+			at("barrier register %d beyond the %d virtual barriers", in.Bar, maxVirtualBarriers)
+		}
 	}
 	if info.wgbar && (in.Bar < 0 || in.Bar >= NumBarrierRegs) {
 		at("workgroup barrier %d outside [0,%d)", in.Bar, NumBarrierRegs)

@@ -1,11 +1,14 @@
 package simt_test
 
 import (
+	"runtime"
 	"testing"
 
+	"specrecon/internal/core"
 	"specrecon/internal/ir"
 	"specrecon/internal/obs"
 	"specrecon/internal/simt"
+	"specrecon/internal/workloads"
 )
 
 // TestSteadyStateIssueAllocFree pins the tentpole perf property: once a
@@ -168,5 +171,108 @@ func TestSteadyStateIssueAllocFreeGrid(t *testing.T) {
 				t.Fatalf("steady-state allocations per issue pass = %v, want 0", avg)
 			}
 		})
+	}
+}
+
+// memCost runs f once and returns the heap allocations and bytes the
+// runtime counted meanwhile. Every goroutine counts, so the worker
+// shards of a sharded launch are included.
+func memCost(f func()) (allocs, bytes uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// compiledWorkload builds a workload under cfg, compiles its speculative
+// build and returns it with its launch config.
+func compiledWorkload(t *testing.T, name string, cfg workloads.BuildConfig) (*ir.Module, simt.Config) {
+	t.Helper()
+	w, err := workloads.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := w.Build(cfg)
+	comp, err := core.Compile(inst.Module, core.SpecReconOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return comp.Module, simt.Config{
+		Kernel: inst.Kernel, Threads: inst.Threads, Seed: inst.Seed, Memory: inst.Memory, Strict: true,
+		Grid: inst.Grid, CTASize: inst.CTASize, SMs: inst.SMs, Workers: inst.Workers,
+	}
+}
+
+// TestLaunchReuseAllocBound is the launch-arena allocation gate, on the
+// launches of BenchmarkLaunchReuse. Before the arena, a relaunch cost
+// 422 allocs (flat) and 5,676 allocs / 1,293,296 B (8 SMs); a reused
+// Machine must stay within a fifth of those allocs and, at 8 SMs, half
+// of those bytes. The checked figure is the per-launch average over the
+// first 20 launches of one Machine, which the first launch dominates;
+// (first + 19*max(second, third))/20 bounds it from above.
+func TestLaunchReuseAllocBound(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		workload  string
+		cfg       workloads.BuildConfig
+		maxAllocs uint64
+		maxBytes  uint64 // 0 = unbounded
+	}{
+		{"flat", "xsbench", workloads.BuildConfig{}, 84, 0},
+		{"sm8", "rsbench", workloads.BuildConfig{Grid: 16, CTASize: 64, SMs: 8, Workers: 1}, 1135, 646648},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mod, cfg := compiledWorkload(t, tc.workload, tc.cfg)
+			m, err := simt.NewMachine(mod, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var allocs, bytes [3]uint64
+			for i := range allocs {
+				allocs[i], bytes[i] = memCost(func() {
+					if _, err := m.Run(cfg); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			avgAllocs := (allocs[0] + 19*max(allocs[1], allocs[2])) / 20
+			avgBytes := (bytes[0] + 19*max(bytes[1], bytes[2])) / 20
+			t.Logf("launches: %v allocs, %v B; 20-launch average <= %d allocs, %d B",
+				allocs, bytes, avgAllocs, avgBytes)
+			if avgAllocs > tc.maxAllocs {
+				t.Errorf("%d allocs per launch, want <= %d", avgAllocs, tc.maxAllocs)
+			}
+			if tc.maxBytes > 0 && avgBytes > tc.maxBytes {
+				t.Errorf("%d B per launch, want <= %d", avgBytes, tc.maxBytes)
+			}
+		})
+	}
+}
+
+// TestGPUScaleGridPinned pins one fresh run of the 8-SM sharded RSBench
+// grid of BenchmarkGPUScale: its modeled launch and summed per-SM cycles
+// exactly, and its heap bytes below 1,090,000 B. The bytes bound is
+// 0.85x the 1,297,470 B a launch cost before copy-on-write SM memory,
+// tightened by the build and compile cost the benchmark amortizes into
+// each op.
+func TestGPUScaleGridPinned(t *testing.T) {
+	mod, cfg := compiledWorkload(t, "rsbench", workloads.BuildConfig{Grid: 16, CTASize: 64, SMs: 8, Workers: 8})
+	var res *simt.Result
+	_, bytes := memCost(func() {
+		var err error
+		if res, err = simt.Run(mod, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := res.Metrics.Cycles; got != 540376 {
+		t.Errorf("sim_cycles %d, pinned 540376", got)
+	}
+	if got := res.Metrics.TotalSMCycles; got != 4090335 {
+		t.Errorf("total_sm_cycles %d, pinned 4090335", got)
+	}
+	t.Logf("run: %d B", bytes)
+	if bytes > 1090000 {
+		t.Errorf("%d B per run, want <= 1090000", bytes)
 	}
 }

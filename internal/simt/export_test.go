@@ -204,6 +204,10 @@ func NewHandSimFlat(m *ir.Module, cfg Config) (*HandSimGPU, error) {
 	return &HandSimGPU{sm: s, warps: warps}, nil
 }
 
+// Issues returns the SM's warp-instruction issue counter, the unit a
+// benchmark divides by to report ns/issue whatever a Step covers.
+func (h *HandSimGPU) Issues() int64 { return h.sm.metrics.Issues }
+
 // Step makes one round-robin issue pass over the resident warps,
 // including the occupancy sampler's per-pass hook (the same inner loop
 // runResident runs); progress=false means the wave retired (or

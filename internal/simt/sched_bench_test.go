@@ -12,9 +12,11 @@ import (
 // every warp-scheduling policy, in the stress rig's most demanding
 // shape: multi-CTA grid, per-SM profiler sink, occupancy sampler at
 // stride 1, and the starvation monitor armed (high limit — the scan
-// runs, never fires). The sched-smoke make target pins
-// allocs_per_op <= 0 for each sub-benchmark via benchguard: exploring
-// schedules must cost scheduling, not allocation.
+// runs, never fires). An op is one Step: a pass over every resident
+// warp under greedy, one scheduling slot under the other policies, so
+// ns/op does not compare across policies; ns/issue, taken from the SM's
+// issue counter, does. The zero-allocation gate for these shapes is
+// TestSteadyStateIssueAllocFreeGrid (profile+sampler and sched-*).
 func BenchmarkIssueSched(b *testing.B) {
 	mod, err := ir.Parse(simt.AllocTestKernelGrid)
 	if err != nil {
@@ -52,8 +54,12 @@ func BenchmarkIssueSched(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
+			before := h.Issues()
 			for i := 0; i < b.N; i++ {
 				step()
+			}
+			if n := h.Issues() - before; n > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/issue")
 			}
 		})
 	}

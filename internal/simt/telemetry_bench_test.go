@@ -10,9 +10,10 @@ import (
 
 // BenchmarkIssueWithTelemetry measures the steady-state issue pass with
 // the occupancy sampler fully attached — stride 1 (every pass sampled)
-// into a fixed-state per-SM obs.OccupancyStats sink. The bench-telemetry
-// make target pins allocs_per_op <= 0 via benchguard: observing the
-// issue loop must never reintroduce allocations on the hot path.
+// into a fixed-state per-SM obs.OccupancyStats sink. The zero-allocation
+// gate for this shape is TestSteadyStateIssueAllocFreeGrid/sampler:
+// observing the issue loop must never reintroduce allocations on the
+// hot path.
 func BenchmarkIssueWithTelemetry(b *testing.B) {
 	mod, err := ir.Parse(simt.AllocTestKernelGrid)
 	if err != nil {

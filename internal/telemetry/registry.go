@@ -1,9 +1,7 @@
 // Package telemetry is the run- and fleet-level metrics layer: an
 // allocation-conscious registry of counters, gauges and histograms with
 // fixed label sets, exported as Prometheus text exposition or a JSON
-// snapshot and optionally served over HTTP (-telemetry-addr). It also
-// holds the run ledger (ledger.go): structured per-invocation records
-// appended to runs.jsonl that cmd/perfledger gates regressions on.
+// snapshot and optionally served over HTTP (-telemetry-addr).
 //
 // Design. A metric family is registered once with its full label-key
 // set; With(values...) resolves a series handle whose hot path is a

@@ -146,3 +146,23 @@ func TestFacadeAutoDetect(t *testing.T) {
 		t.Fatal("nothing applied on meiyamd5")
 	}
 }
+
+// TestFig1AllocBound bounds one compile-and-run of the Listing 1 kernel
+// under speculative reconvergence (the BenchmarkFig1/specrecon op) at
+// the 861 allocs that op cost when the allocation-free issue loop
+// landed.
+func TestFig1AllocBound(t *testing.T) {
+	mod := buildListing1Kernel()
+	avg := testing.AllocsPerRun(5, func() {
+		comp, err := specrecon.Compile(mod, specrecon.SpecReconOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := specrecon.Run(comp.Module, specrecon.RunConfig{Kernel: "kernel", Seed: 1, Strict: true}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 861 {
+		t.Errorf("%.0f allocs per compile+run, want <= 861", avg)
+	}
+}
