@@ -19,10 +19,12 @@ race:
 # check is the pre-commit gate: everything must build, vet clean, and
 # pass the full suite under the race detector. The harness package runs
 # a second time with fresh counters so the worker-pool determinism and
-# race coverage never ride a cached result. The robustness smokes close
-# the gate: short fuzz sessions on the parser, analyzer and pipeline,
-# the seeded 500-kernel differential campaign with the fault matrix,
-# and the static vetting sweep over the corpus and workloads.
+# race coverage never ride a cached result. profile-smoke and
+# scale-smoke check the profile and trace artifacts of a flat and a
+# grid launch. The robustness smokes close the gate: short fuzz
+# sessions on the parser, analyzer and pipeline, the seeded 500-kernel
+# differential campaign with the fault matrix, and the static vetting
+# sweep over the corpus and workloads.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -30,6 +32,7 @@ check:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/harness
 	$(GO) test -race -count=1 ./internal/obs
+	$(MAKE) profile-smoke
 	$(MAKE) scale-smoke
 	$(MAKE) fuzz-smoke
 	$(MAKE) diffcheck-smoke

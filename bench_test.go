@@ -412,65 +412,6 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkLaunchReuse measures the steady-state cost of relaunching
-// one compilation — the inner loop of every sweep — through a reusable
-// specrecon.Machine. The arena keeps warp scratch, per-SM machines,
-// event buffers and metrics alive, so allocs/op is the per-launch arena
-// overhead, not the construction cost, and the 8-SM variant's bytes/op
-// no longer scales with the full memory-image size (copy-on-write SM
-// memory pays per dirty page). TestLaunchReuseAllocBound gates the same
-// launches.
-func BenchmarkLaunchReuse(b *testing.B) {
-	b.Run("flat", func(b *testing.B) {
-		inst := buildNamed(b, "xsbench")
-		comp, err := specrecon.Compile(inst.Module, specrecon.SpecReconOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := specrecon.RunConfig{
-			Kernel: inst.Kernel, Threads: inst.Threads, Seed: inst.Seed,
-			Memory: inst.Memory, Strict: true,
-		}
-		m, err := specrecon.NewMachine(comp.Module, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Run(cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("sm8", func(b *testing.B) {
-		w, err := specrecon.WorkloadByName("rsbench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		inst := w.Build(specrecon.WorkloadConfig{Grid: 16, CTASize: 64, SMs: 8, Workers: 1})
-		comp, err := specrecon.Compile(inst.Module, specrecon.SpecReconOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := specrecon.RunConfig{
-			Kernel: inst.Kernel, Seed: inst.Seed, Memory: inst.Memory, Strict: true,
-			Grid: inst.Grid, CTASize: inst.CTASize, SMs: inst.SMs, Workers: inst.Workers,
-		}
-		m, err := specrecon.NewMachine(comp.Module, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Run(cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // harnessJ bounds the worker pool of BenchmarkHarness
 // (0 = GOMAXPROCS, 1 = serial):
 //

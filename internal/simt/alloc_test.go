@@ -204,52 +204,6 @@ func compiledWorkload(t *testing.T, name string, cfg workloads.BuildConfig) (*ir
 	}
 }
 
-// TestLaunchReuseAllocBound is the launch-arena allocation gate, on the
-// launches of BenchmarkLaunchReuse. Before the arena, a relaunch cost
-// 422 allocs (flat) and 5,676 allocs / 1,293,296 B (8 SMs); a reused
-// Machine must stay within a fifth of those allocs and, at 8 SMs, half
-// of those bytes. The checked figure is the per-launch average over the
-// first 20 launches of one Machine, which the first launch dominates;
-// (first + 19*max(second, third))/20 bounds it from above.
-func TestLaunchReuseAllocBound(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		workload  string
-		cfg       workloads.BuildConfig
-		maxAllocs uint64
-		maxBytes  uint64 // 0 = unbounded
-	}{
-		{"flat", "xsbench", workloads.BuildConfig{}, 84, 0},
-		{"sm8", "rsbench", workloads.BuildConfig{Grid: 16, CTASize: 64, SMs: 8, Workers: 1}, 1135, 646648},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			mod, cfg := compiledWorkload(t, tc.workload, tc.cfg)
-			m, err := simt.NewMachine(mod, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var allocs, bytes [3]uint64
-			for i := range allocs {
-				allocs[i], bytes[i] = memCost(func() {
-					if _, err := m.Run(cfg); err != nil {
-						t.Fatal(err)
-					}
-				})
-			}
-			avgAllocs := (allocs[0] + 19*max(allocs[1], allocs[2])) / 20
-			avgBytes := (bytes[0] + 19*max(bytes[1], bytes[2])) / 20
-			t.Logf("launches: %v allocs, %v B; 20-launch average <= %d allocs, %d B",
-				allocs, bytes, avgAllocs, avgBytes)
-			if avgAllocs > tc.maxAllocs {
-				t.Errorf("%d allocs per launch, want <= %d", avgAllocs, tc.maxAllocs)
-			}
-			if tc.maxBytes > 0 && avgBytes > tc.maxBytes {
-				t.Errorf("%d B per launch, want <= %d", avgBytes, tc.maxBytes)
-			}
-		})
-	}
-}
-
 // TestGPUScaleGridPinned pins one fresh run of the 8-SM sharded RSBench
 // grid of BenchmarkGPUScale: its modeled launch and summed per-SM cycles
 // exactly, and its heap bytes below 1,090,000 B. The bytes bound is

@@ -10,6 +10,33 @@ import "specrecon/internal/ir"
 // string map in the metrics, the opcode→latency table walk, and the
 // callee-name→function-index map in OpCall.
 
+// program is one module's launch-invariant decode: the function index,
+// the per-instruction side tables and the sizes of every warp's barrier
+// and register files. Nothing writes it after decode, so every SM of a
+// launch and every launch of a Machine share one.
+type program struct {
+	mod     *ir.Module
+	fnIndex map[string]int
+	// meta is the decode-time side table, indexed [fn][blk][ins].
+	meta   [][][]instrMeta
+	nbar   int
+	nregs  int
+	nfregs int
+}
+
+// decode builds m's program. m must already be verified.
+func decode(m *ir.Module) program {
+	p := program{mod: m, fnIndex: make(map[string]int, len(m.Funcs)), nbar: 1}
+	for i, f := range m.Funcs {
+		p.fnIndex[f.Name] = i
+		p.nbar = max(p.nbar, f.MaxBarrier()+1)
+	}
+	p.meta = buildMeta(m, p.fnIndex)
+	nregs, nfregs := m.MaxRegs()
+	p.nregs, p.nfregs = max(nregs, 1), max(nfregs, 1)
+	return p
+}
+
 // instrMeta caches the decoded facts of one instruction.
 type instrMeta struct {
 	latency int64     // base issue cost, from the opcode table

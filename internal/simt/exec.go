@@ -3,6 +3,7 @@ package simt
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"specrecon/internal/ir"
 )
@@ -16,7 +17,7 @@ func (ws *warpState) issue(g group) error {
 	in := &blk.Instrs[g.pc.ins]
 	im := &s.meta[g.pc.fn][g.pc.blk][g.pc.ins]
 
-	active := popcount(g.mask)
+	active := bits.OnesCount32(g.mask)
 	s.issues++
 	s.metrics.Issues++
 	s.metrics.ActiveLaneSum += int64(active)
@@ -119,7 +120,7 @@ func (ws *warpState) issue(g group) error {
 			ln.waitBar = in.Bar
 			blocked |= 1 << l
 		}
-		n := popcount(blocked)
+		n := bits.OnesCount32(blocked)
 		ws.cta.blockOnBar(in.Bar, n)
 		s.metrics.CTABarWaits += int64(n)
 		if sink != nil && blocked != 0 {
@@ -539,7 +540,7 @@ func (ws *warpState) execScalar(ln *lane, in *ir.Instr) error {
 		s.metrics.SharedAccesses++
 
 	case ir.OpArrived:
-		ln.regs[in.Dst] = int64(popcount(ws.waiting[in.Bar]))
+		ln.regs[in.Dst] = int64(bits.OnesCount32(ws.waiting[in.Bar]))
 	case ir.OpNop:
 		// nothing
 	default:

@@ -57,6 +57,16 @@ func WithFullCopySM(cfg Config) Config {
 	return cfg
 }
 
+// launchSim builds the per-launch state Machine.Run would simulate,
+// through the same NewMachine decode, without driving it.
+func launchSim(m *ir.Module, cfg Config) (*sim, error) {
+	mc, err := NewMachine(m, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return mc.newSim(cfg)
+}
+
 // HandSim steps a single warp one issue slot at a time, bypassing Run's
 // driver loop, so tests can measure per-step behavior directly.
 type HandSim struct {
@@ -66,11 +76,11 @@ type HandSim struct {
 
 // NewHandSim builds a simulator over m and wires up warp 0.
 func NewHandSim(m *ir.Module, cfg Config) (*HandSim, error) {
-	s, err := newSim(m, cfg)
+	s, err := launchSim(m, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &HandSim{s: s, ws: s.newWarp(0)}, nil
+	return &HandSim{s: s, ws: s.newWarp(s.ctas[0], 0)}, nil
 }
 
 // Step issues one slot on warp 0; done reports warp completion.
@@ -132,7 +142,7 @@ type HandSimGPU struct {
 // NewHandSimGPU builds a grid simulator over m and makes SM 0's first
 // CTA wave resident. cfg must be a grid config (Grid > 0).
 func NewHandSimGPU(m *ir.Module, cfg Config) (*HandSimGPU, error) {
-	s, err := newSim(m, cfg)
+	s, err := launchSim(m, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +171,7 @@ func NewHandSimGPU(m *ir.Module, cfg Config) (*HandSimGPU, error) {
 		cta := sm.newCTA(c, sm.ctaSize)
 		sm.ctas = append(sm.ctas, cta)
 		for wi := 0; wi < warpsPerCTA; wi++ {
-			warps = append(warps, sm.newCTAWarp(cta, wi))
+			warps = append(warps, sm.newWarp(cta, wi))
 		}
 	}
 	if sm.cfg.Sched != SchedGreedyConverge {
@@ -176,7 +186,7 @@ func NewHandSimGPU(m *ir.Module, cfg Config) (*HandSimGPU, error) {
 // InterleaveWarps inner loop); under a non-greedy Config.Sched it is
 // one scheduling slot. cfg must be flat (Grid == 0) and ITS.
 func NewHandSimFlat(m *ir.Module, cfg Config) (*HandSimGPU, error) {
-	s, err := newSim(m, cfg)
+	s, err := launchSim(m, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +206,7 @@ func NewHandSimFlat(m *ir.Module, cfg Config) (*HandSimGPU, error) {
 	nwarps := (s.cfg.Threads + ir.WarpWidth - 1) / ir.WarpWidth
 	warps := make([]*warpState, nwarps)
 	for w := range warps {
-		warps[w] = s.newWarp(w)
+		warps[w] = s.newWarp(s.ctas[0], w)
 	}
 	if s.cfg.Sched != SchedGreedyConverge {
 		s.schedInit(warps)

@@ -69,8 +69,9 @@ type ctaState struct {
 	arrived [NumCTABarriers]int32
 }
 
-func newCTAState(index, size, sharedWords int) *ctaState {
-	return &ctaState{index: index, live: size, shared: make([]uint64, sharedWords)}
+// newCTA builds CTA index of size threads with a zeroed shared segment.
+func (s *sim) newCTA(index, size int) *ctaState {
+	return &ctaState{index: index, live: size, shared: make([]uint64, s.mod.SharedWords)}
 }
 
 // blockOnBar records that count lanes blocked on workgroup barrier b.
@@ -122,22 +123,16 @@ func (c *ctaState) laneExited(s *sim) {
 
 // forkSM clones the launch template into SM i's private machine state:
 // a private view of the initial global memory, its own cache, metrics,
-// budgets and event sink, sharing the immutable module and decode
-// tables. The memory view is copy-on-write by default — the template
-// image is shared read-only and pages materialize on first store — so
-// forking cost scales with the SM's write set, not the image size;
-// cfg.fullCopySM selects the reference full-copy fork with a
-// whole-image dirty bitmap.
+// budgets and event sink, sharing the immutable decode. The memory view
+// is copy-on-write by default — the template image is shared read-only
+// and pages materialize on first store — so forking cost scales with
+// the SM's write set, not the image size; cfg.fullCopySM selects the
+// reference full-copy fork with a whole-image dirty bitmap.
 func (s *sim) forkSM(i int, sink EventSink, samples SampleSink) *sim {
 	sm := &sim{
-		mod:      s.mod,
+		program:  s.program,
 		cfg:      s.cfg,
-		fnIndex:  s.fnIndex,
-		meta:     s.meta,
 		entryIdx: s.entryIdx,
-		nbar:     s.nbar,
-		nregs:    s.nregs,
-		nfregs:   s.nfregs,
 		smIndex:  int32(i),
 		gridMode: true,
 		ctaSize:  s.ctaSize,
@@ -155,36 +150,6 @@ func (s *sim) forkSM(i int, sink EventSink, samples SampleSink) *sim {
 	sm.sampleSink = samples
 	sm.wallDeadline = s.wallDeadline
 	return sm
-}
-
-// resetSM rewinds a pooled SM fork for the next launch of the same
-// Machine: the memory view is restored to the template image (CoW pages
-// dropped, or the full copy re-copied), the cache, metrics and budgets
-// clear in place, and the arena cursors rewind.
-func (sm *sim) resetSM(tpl *sim, sink EventSink, samples SampleSink) {
-	sm.cfg = tpl.cfg
-	sm.cfg.Events = sink
-	sm.sampleSink = samples
-	sm.wallDeadline = tpl.wallDeadline
-	sm.lastSampleCycle = 0
-	sm.memStallAcc = 0
-	sm.memStallSampled = 0
-	if sm.cow != nil {
-		sm.cow.reset()
-	} else {
-		copy(sm.mem, tpl.mem)
-		for i := range sm.dirty {
-			sm.dirty[i] = 0
-		}
-	}
-	sm.cache.reset()
-	sm.metrics.reset()
-	sm.issues = 0
-	sm.releases = 0
-	sm.lastProgressCycle = 0
-	sm.poolWarp = 0
-	sm.poolCTA = 0
-	sm.ctas = sm.ctas[:0]
 }
 
 // occupancy returns how many CTAs fit on one SM at once, limited by the
@@ -223,63 +188,33 @@ func (s *sim) runGrid() (*Result, error) {
 	warpsPerCTA := (cfg.CTASize + ir.WarpWidth - 1) / ir.WarpWidth
 	occ := s.occupancy(warpsPerCTA)
 
-	sms := s.smPool
-	buffers := s.bufPool
-	sampleBufs := s.sampleBufPool
-	fresh := sms == nil
-	if fresh {
-		sms = make([]*sim, cfg.SMs)
-		buffers = make([]*bufferSink, cfg.SMs)
-		sampleBufs = make([]*sampleBuffer, cfg.SMs)
-	}
+	sms := make([]*sim, cfg.SMs)
+	buffers := make([]*bufferSink, cfg.SMs)
+	sampleBufs := make([]*sampleBuffer, cfg.SMs)
 	for i := range sms {
 		var sink EventSink
 		switch {
 		case cfg.SMEvents != nil:
 			sink = cfg.SMEvents(i)
 		case cfg.Events != nil:
-			if buffers[i] == nil {
-				buffers[i] = &bufferSink{}
-			}
+			buffers[i] = &bufferSink{}
 			sink = buffers[i]
-		}
-		if b := buffers[i]; b != nil {
-			b.events = b.events[:0]
 		}
 		var samples SampleSink
 		if cfg.samplerEnabled() {
 			if cfg.SMSamples != nil {
 				samples = cfg.SMSamples(i)
 			} else {
-				if sampleBufs[i] == nil {
-					sampleBufs[i] = &sampleBuffer{}
-				}
+				sampleBufs[i] = &sampleBuffer{}
 				samples = sampleBufs[i]
 			}
 		}
-		if b := sampleBufs[i]; b != nil {
-			b.samples = b.samples[:0]
-		}
-		if fresh {
-			sms[i] = s.forkSM(i, sink, samples)
-		} else {
-			sms[i].resetSM(s, sink, samples)
-		}
-	}
-	if s.reuse && fresh {
-		s.smPool, s.bufPool, s.sampleBufPool = sms, buffers, sampleBufs
+		sms[i] = s.forkSM(i, sink, samples)
 	}
 
 	var shared [][]uint64
 	if s.mod.SharedWords > 0 {
-		if s.sharedBuf != nil {
-			shared = s.sharedBuf[:cfg.Grid]
-		} else {
-			shared = make([][]uint64, cfg.Grid)
-			if s.reuse {
-				s.sharedBuf = shared
-			}
-		}
+		shared = make([][]uint64, cfg.Grid)
 	}
 	err := forEachSM(cfg.Workers, cfg.SMs, func(i int) error {
 		return sms[i].runSM(occ, warpsPerCTA, shared)
@@ -329,7 +264,7 @@ func (s *sim) runSM(occ, warpsPerCTA int, shared [][]uint64) error {
 				shared[c] = cta.shared
 			}
 			for wi := 0; wi < warpsPerCTA; wi++ {
-				resident = append(resident, s.newCTAWarp(cta, wi))
+				resident = append(resident, s.newWarp(cta, wi))
 			}
 		}
 		if err := s.runResident(resident); err != nil {
@@ -407,24 +342,8 @@ func (s *sim) smDeadlock(warps []*warpState) error {
 // addresses in the same order.
 func (s *sim) mergeSMs(sms []*sim, warpsPerCTA int, shared [][]uint64) *Result {
 	final := s.mem // the template's untouched initial image
-	written := s.writtenBuf
-	if written == nil {
-		written = make([]uint64, (len(final)+63)/64)
-		if s.reuse {
-			s.writtenBuf = written
-		}
-	} else {
-		for i := range written {
-			written[i] = 0
-		}
-	}
-	perSM := s.perSMBuf
-	if perSM == nil {
-		perSM = make([]Metrics, len(sms))
-		if s.reuse {
-			s.perSMBuf = perSM
-		}
-	}
+	written := make([]uint64, (len(final)+63)/64)
+	perSM := make([]Metrics, len(sms))
 	for i, sm := range sms {
 		s.metrics.merge(&sm.metrics)
 		if sm.cow != nil {
@@ -450,9 +369,7 @@ func (s *sim) mergeSMs(sms []*sim, warpsPerCTA int, shared [][]uint64) *Result {
 	s.metrics.CTAs = s.cfg.Grid
 	s.metrics.SMs = s.cfg.SMs
 	s.metrics.finalize()
-	res := &Result{Metrics: s.metrics, Memory: final, Shared: shared, PerSM: perSM}
-	res.Metrics.detach()
-	return res
+	return &Result{Metrics: s.metrics, Memory: final, Shared: shared, PerSM: perSM}
 }
 
 // forEachSM runs fn(0..n-1) over at most workers goroutines. Jobs are

@@ -11,11 +11,11 @@ import (
 // states, including merged PCs, waiting and exited lanes.
 func TestGroupsMatchesMapAndSort(t *testing.T) {
 	mod := asm(t, AllocTestKernel)
-	s, err := newSim(mod, Config{Threads: ir.WarpWidth, Seed: 7})
+	s, err := launchSim(mod, Config{Threads: ir.WarpWidth, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := s.newWarp(0)
+	ws := s.newWarp(s.ctas[0], 0)
 	// A tiny deterministic generator keeps the case table reproducible.
 	state := uint64(0x9e3779b97f4a7c15)
 	next := func(n int) int {

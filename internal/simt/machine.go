@@ -6,88 +6,64 @@ import (
 	"specrecon/internal/ir"
 )
 
-// Machine is a reusable launch arena: one simulator instance whose warp
-// scratch, decode side tables, CTA state, per-SM forks, event replay
-// buffers, metrics tables and memory views stay alive across launches
-// of the same module. A harness loop that re-runs one compilation over
+// Machine is one module decoded for launching: NewMachine verifies the
+// module and builds its decode-time side tables once, and every Run
+// builds fresh launch state (memory image, cache, warps, CTAs, SM forks)
+// over those shared tables. A loop that re-runs one compilation over
 // many inputs (threshold sweeps, funnel stages, differential checks)
-// pays the full construction cost once; every later Run rewinds the
-// arena in place, driving steady-state allocations per launch to near
-// zero while producing results byte-identical to a fresh Run (pinned by
-// TestMachineMatchesFreshRun).
-//
-// A Machine is bound to a launch shape: the kernel, thread/grid
-// geometry, SM count, scheduling policy, engine and cache configuration
-// of the Config it was built with, plus the derived memory-image size.
-// Per-launch inputs — Seed, Memory contents, issue/cycle/wall budgets,
-// Strict, SkipReleaseN, Workers, event sinks and the scheduler policy
-// (Sched, SchedSeed, StarveLimit) — may differ freely between runs. Run
-// rejects a shape-incompatible Config rather than silently rebuilding.
-//
-// Result buffers alias the arena: Result.Memory, Result.Shared and
-// Result.PerSM are valid until the next Run on the same Machine. Copy
-// them out to keep them. A Machine is not safe for concurrent Runs
-// (each Run may still shard its SMs over Config.Workers goroutines
-// internally).
+// decodes once instead of once per launch. Each Run may use any Config
+// the module accepts; its Result owns all of its buffers.
 type Machine struct {
-	s *sim
+	program
 }
 
-// NewMachine validates m and cfg exactly like Run and builds the
-// reusable arena. The heavy launch-invariant state (decode side tables,
-// PC metadata, memory template) is constructed here, once.
+// NewMachine verifies m, validates cfg exactly like Run and decodes m.
 func NewMachine(m *ir.Module, cfg Config) (*Machine, error) {
-	s, err := newSim(m, cfg)
-	if err != nil {
+	if err := ir.VerifyModule(m); err != nil {
+		return nil, fmt.Errorf("simt: module invalid: %w", err)
+	}
+	if _, _, err := normalizeConfig(m, cfg); err != nil {
 		return nil, err
 	}
-	s.reuse = true
-	return &Machine{s: s}, nil
+	return &Machine{program: decode(m)}, nil
 }
 
-// Run launches the machine's kernel under cfg, reusing the arena. cfg
-// must be shape-compatible with the Config the Machine was built with;
-// per-launch inputs (Seed, Memory, budgets, Strict, SkipReleaseN,
-// Workers, Events/SMEvents) may vary. The returned Result's buffers are
-// valid until the next Run.
+// Run launches the machine's module under cfg and simulates it to
+// completion.
 func (mc *Machine) Run(cfg Config) (*Result, error) {
-	s := mc.s
-	cfg, memWords, err := normalizeConfig(s.mod, cfg)
+	s, err := mc.newSim(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.compatible(cfg, memWords); err != nil {
-		return nil, err
-	}
-	s.resetForLaunch(cfg)
 	return s.launch()
 }
 
-// compatible checks that a normalized cfg matches the arena's launch
-// shape. Everything the arena's pooled state was sized or keyed by must
-// be unchanged.
-func (s *sim) compatible(cfg Config, memWords int) error {
-	base := s.cfg
-	switch {
-	case cfg.Kernel != base.Kernel:
-		return fmt.Errorf("simt: machine built for kernel %q, got %q", base.Kernel, cfg.Kernel)
-	case cfg.Threads != base.Threads || cfg.Grid != base.Grid || cfg.CTASize != base.CTASize:
-		return fmt.Errorf("simt: machine built for threads=%d grid=%d ctasize=%d, got threads=%d grid=%d ctasize=%d",
-			base.Threads, base.Grid, base.CTASize, cfg.Threads, cfg.Grid, cfg.CTASize)
-	case cfg.SMs != base.SMs:
-		return fmt.Errorf("simt: machine built for %d SMs, got %d", base.SMs, cfg.SMs)
-	case cfg.Policy != base.Policy:
-		return fmt.Errorf("simt: machine built for policy %v, got %v", base.Policy, cfg.Policy)
-	case cfg.Model != base.Model:
-		return fmt.Errorf("simt: machine built for model %v, got %v", base.Model, cfg.Model)
-	case cfg.InterleaveWarps != base.InterleaveWarps:
-		return fmt.Errorf("simt: machine InterleaveWarps mismatch")
-	case cfg.Cache.withDefaults() != base.Cache.withDefaults():
-		return fmt.Errorf("simt: machine cache configuration mismatch")
-	case memWords != s.memLen:
-		return fmt.Errorf("simt: machine built for %d memory words, got %d", s.memLen, memWords)
-	case cfg.fullCopySM != base.fullCopySM:
-		return fmt.Errorf("simt: machine SM fork style mismatch")
+// newSim normalizes cfg and builds one launch's root machine state over
+// the shared decode: the initial global-memory image, a cold cache and,
+// on a flat launch, the single implicit CTA.
+func (mc *Machine) newSim(cfg Config) (*sim, error) {
+	cfg, memWords, err := normalizeConfig(mc.mod, cfg)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	mem := make([]uint64, memWords)
+	copy(mem, cfg.Memory)
+	s := &sim{
+		program:  mc.program,
+		cfg:      cfg,
+		entryIdx: mc.fnIndex[cfg.Kernel],
+		mem:      mem,
+		memLen:   memWords,
+		cache:    newCache(cfg.Cache.withDefaults()),
+		gridMode: cfg.Grid > 0,
+		ctaSize:  cfg.Threads,
+	}
+	if s.gridMode {
+		s.ctaSize = cfg.CTASize
+	} else {
+		// Flat launch: the whole launch acts as one implicit CTA, which
+		// gives ctabar and shared memory their degenerate-case meaning.
+		s.ctas = append(s.ctas, s.newCTA(0, cfg.Threads))
+	}
+	return s, nil
 }

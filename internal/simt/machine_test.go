@@ -1,6 +1,7 @@
 package simt_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -8,8 +9,8 @@ import (
 	"specrecon/internal/simt"
 )
 
-// cowTestKernel exercises every global-memory shape the CoW fork and the
-// launch arena must preserve: scattered stores spanning many 4 KiB
+// cowTestKernel exercises every global-memory shape the CoW fork and
+// Machine relaunches must preserve: scattered stores spanning many 4 KiB
 // pages, loads back through the private view, integer and float atomics,
 // a cross-CTA conflict word every thread writes, and a per-thread RNG
 // value so the output depends on the launch seed.
@@ -92,11 +93,34 @@ func TestCoWMatchesFullCopySM(t *testing.T) {
 	}
 }
 
-// TestMachineMatchesFreshRun pins the launch-arena contract: three
+// assertSameRun fails t unless a Machine launch's observable surface —
+// metrics, memory, shared segments, per-SM metrics and event stream —
+// equals a fresh simt.Run's.
+func assertSameRun(t *testing.T, label string, fresh, mach *simt.Result, freshEvents, machEvents []simt.Event) {
+	t.Helper()
+	if !reflect.DeepEqual(mach.Metrics, fresh.Metrics) {
+		t.Errorf("%s: metrics diverge:\n  fresh:   %+v\n  machine: %+v", label, fresh.Metrics, mach.Metrics)
+	}
+	if !reflect.DeepEqual(mach.Memory, fresh.Memory) {
+		t.Errorf("%s: final memory diverges from fresh run", label)
+	}
+	if !reflect.DeepEqual(mach.Shared, fresh.Shared) {
+		t.Errorf("%s: shared segments diverge from fresh run", label)
+	}
+	if !reflect.DeepEqual(mach.PerSM, fresh.PerSM) {
+		t.Errorf("%s: per-SM metrics diverge from fresh run", label)
+	}
+	if !reflect.DeepEqual(machEvents, freshEvents) {
+		t.Errorf("%s: event streams diverge (%d fresh vs %d machine events)", label, len(freshEvents), len(machEvents))
+	}
+}
+
+// TestMachineMatchesFreshRun pins the Machine contract: three
 // consecutive Machine.Run launches with different seeds and memory
 // images each produce exactly the result — metrics, memory, shared
 // segments, per-SM metrics and event stream — of a fresh simt.Run under
-// the same config.
+// the same config, and so does one Machine launching different grid
+// shapes in turn.
 func TestMachineMatchesFreshRun(t *testing.T) {
 	cowMod, err := ir.Parse(cowTestKernel)
 	if err != nil {
@@ -105,6 +129,9 @@ func TestMachineMatchesFreshRun(t *testing.T) {
 	reduceMod, err := ir.Parse(reduceKernel)
 	if err != nil {
 		t.Fatal(err)
+	}
+	fresh := func(mod *ir.Module) func(simt.Config) (*simt.Result, error) {
+		return func(c simt.Config) (*simt.Result, error) { return simt.Run(mod, c) }
 	}
 	cases := []struct {
 		name string
@@ -129,66 +156,33 @@ func TestMachineMatchesFreshRun(t *testing.T) {
 					mem[i] = uint64(launch*1000 + i)
 				}
 				cfg.Memory = mem
-				freshRes, freshEvents := captureRun(t, func(c simt.Config) (*simt.Result, error) {
-					return simt.Run(tc.mod, c)
-				}, cfg)
+				freshRes, freshEvents := captureRun(t, fresh(tc.mod), cfg)
 				machRes, machEvents := captureRun(t, machine.Run, cfg)
-				if !reflect.DeepEqual(machRes.Metrics, freshRes.Metrics) {
-					t.Errorf("launch %d: metrics diverge:\n  fresh:   %+v\n  machine: %+v",
-						launch, freshRes.Metrics, machRes.Metrics)
-				}
-				if !reflect.DeepEqual(machRes.Memory, freshRes.Memory) {
-					t.Errorf("launch %d: final memory diverges from fresh run", launch)
-				}
-				if !reflect.DeepEqual(machRes.Shared, freshRes.Shared) {
-					t.Errorf("launch %d: shared segments diverge from fresh run", launch)
-				}
-				if !reflect.DeepEqual(machRes.PerSM, freshRes.PerSM) {
-					t.Errorf("launch %d: per-SM metrics diverge from fresh run", launch)
-				}
-				if !reflect.DeepEqual(machEvents, freshEvents) {
-					t.Errorf("launch %d: event streams diverge (%d fresh vs %d machine events)",
-						launch, len(freshEvents), len(machEvents))
-				}
+				assertSameRun(t, fmt.Sprintf("launch %d", launch), freshRes, machRes, freshEvents, machEvents)
 			}
 		})
 	}
-}
-
-// TestMachineRejectsShapeChange pins Run's compatibility check: a
-// Machine refuses configs that change the launch shape it was built
-// for, instead of silently rebuilding its arena.
-func TestMachineRejectsShapeChange(t *testing.T) {
-	mod, err := ir.Parse(cowTestKernel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	machine, err := simt.NewMachine(mod, simt.Config{Grid: 4, CTASize: 64, SMs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := []simt.Config{
-		{Grid: 8, CTASize: 64, SMs: 2},                 // grid size
-		{Grid: 4, CTASize: 32, SMs: 2},                 // CTA size
-		{Grid: 4, CTASize: 64, SMs: 4},                 // SM count
-		{Threads: 96},                                  // flat vs grid
-		{Grid: 4, CTASize: 64, SMs: 2, MemWords: 8192}, // memory image size
-	}
-	for i, cfg := range bad {
-		if _, err := machine.Run(cfg); err == nil {
-			t.Errorf("config %d: shape-changing Run succeeded, want error", i)
+	t.Run("shapes", func(t *testing.T) {
+		machine, err := simt.NewMachine(cowMod, simt.Config{Grid: 4, CTASize: 64, SMs: 2})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// And the good shape still runs after the rejections.
-	if _, err := machine.Run(simt.Config{Grid: 4, CTASize: 64, SMs: 2, Seed: 5}); err != nil {
-		t.Errorf("shape-compatible Run failed after rejections: %v", err)
-	}
+		for i, cfg := range []simt.Config{
+			{Grid: 4, CTASize: 64, SMs: 2, Seed: 5},
+			{Grid: 8, CTASize: 32, SMs: 4, Workers: 2, Seed: 6, MemWords: 8192},
+			{Threads: 96, Seed: 7},
+		} {
+			freshRes, freshEvents := captureRun(t, fresh(cowMod), cfg)
+			machRes, machEvents := captureRun(t, machine.Run, cfg)
+			assertSameRun(t, fmt.Sprintf("shape %d", i), freshRes, machRes, freshEvents, machEvents)
+		}
+	})
 }
 
 // isolationKernel loops a memory-loaded trip count, so two launches of
 // the same Machine with different Memory images produce different
 // block-visit profiles — which is what makes profile-map aliasing
-// between an escaped Result and the reused arena observable.
+// between an escaped Result and a later launch observable.
 const isolationKernel = `module isoltest memwords=8
 func @k nregs=8 nfregs=0 {
 entry:
@@ -207,12 +201,11 @@ done:
 }
 `
 
-// TestMachineRelaunchResultIsolation pins the detach guard on the fork
-// path: a Result returned by one launch owns its profile maps, so a
-// later relaunch of the same Machine — whose arena resets the hot-path
-// accumulators in place and re-merges fresh counts — must not mutate
-// the escaped Result's block-visit profile or op-class breakdown, and
-// re-finalizing across launches must not double-count.
+// TestMachineRelaunchResultIsolation: a Result returned by one launch
+// owns all of its buffers, so a later launch of the same Machine must
+// not mutate the escaped Result's memory, per-SM metrics, block-visit
+// profile or op-class breakdown, and finalizing across launches must
+// not double-count.
 func TestMachineRelaunchResultIsolation(t *testing.T) {
 	mod, err := ir.Parse(isolationKernel)
 	if err != nil {
@@ -237,10 +230,10 @@ func TestMachineRelaunchResultIsolation(t *testing.T) {
 	for k, v := range res1.Metrics.OpClassIssues {
 		classes1[k] = v
 	}
-	// A relaunch with triple the trip count rewrites the arena's
-	// accumulators with different numbers. (Result.PerSM stays
-	// arena-aliased by documented contract — valid until the next Run —
-	// so only the launch-wide Metrics is asserted stable.)
+	mem1 := append([]uint64(nil), res1.Memory...)
+	perSM1 := fmt.Sprintf("%+v", res1.PerSM) // deep: fmt prints map contents
+	// A relaunch with triple the trip count and a different memory image
+	// produces different numbers everywhere.
 	cfg2 := cfg
 	cfg2.Memory = []uint64{9}
 	res2, err := m.Run(cfg2)
@@ -257,8 +250,14 @@ func TestMachineRelaunchResultIsolation(t *testing.T) {
 		t.Errorf("relaunch mutated first result's op-class issues: %v -> %v",
 			classes1, res1.Metrics.OpClassIssues)
 	}
+	if !reflect.DeepEqual(res1.Memory, mem1) {
+		t.Errorf("relaunch mutated first result's memory: %v -> %v", mem1, res1.Memory)
+	}
+	if now := fmt.Sprintf("%+v", res1.PerSM); now != perSM1 {
+		t.Errorf("relaunch mutated first result's per-SM metrics:\n  was: %s\n  now: %s", perSM1, now)
+	}
 	// A third launch identical to the first reports the identical
-	// profile — a double finalize anywhere on the reuse path would
+	// profile — a double finalize anywhere on the launch path would
 	// double the op-class counts.
 	res3, err := m.Run(cfg)
 	if err != nil {

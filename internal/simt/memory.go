@@ -23,14 +23,6 @@ func newCache(cfg CacheConfig) *cache {
 	return c
 }
 
-// reset empties every set without dropping its backing array, so a
-// reused launch arena starts from a cold cache with zero allocations.
-func (c *cache) reset() {
-	for i := range c.sets {
-		c.sets[i] = c.sets[i][:0]
-	}
-}
-
 // access coalesces the active lanes' addresses into line transactions,
 // charges hit/miss costs and updates LRU state. It returns the added
 // cycle cost and updates the metrics counters.

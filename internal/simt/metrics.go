@@ -146,50 +146,6 @@ func (m *Metrics) merge(o *Metrics) {
 	}
 }
 
-// detach replaces the map-backed profile state with private deep
-// copies. Result.Metrics is a struct copy of the arena's live
-// accumulator; without detaching, its blockVisits rows and (after
-// finalize) OpClassIssues map stay aliased to the accumulator, so a
-// later Machine relaunch — which resets and re-merges those maps in
-// place — would silently rewrite the escaped Result's profile.
-// Result.PerSM stays arena-aliased by documented contract (valid until
-// the next Run); only the launch-wide Metrics copy detaches.
-func (m *Metrics) detach() {
-	if m.blockVisits != nil {
-		bv := make(map[int][]int64, len(m.blockVisits))
-		for fn, rows := range m.blockVisits {
-			bv[fn] = append([]int64(nil), rows...)
-		}
-		m.blockVisits = bv
-	}
-	if m.OpClassIssues != nil {
-		oci := make(map[string]int64, len(m.OpClassIssues))
-		for k, v := range m.OpClassIssues {
-			oci[k] = v
-		}
-		m.OpClassIssues = oci
-	}
-}
-
-// reset zeroes every counter while keeping the map storage behind
-// blockVisits and OpClassIssues alive, so a reused launch arena records
-// a fresh run without reallocating the profile tables.
-func (m *Metrics) reset() {
-	bv := m.blockVisits
-	oci := m.OpClassIssues
-	*m = Metrics{}
-	for _, rows := range bv {
-		for i := range rows {
-			rows[i] = 0
-		}
-	}
-	m.blockVisits = bv
-	for k := range oci {
-		delete(oci, k)
-	}
-	m.OpClassIssues = oci
-}
-
 // finalize materializes the exported views of the hot-path accumulators.
 // Run calls it once after the last warp retires; repeated calls are
 // no-ops so a second finalize cannot double-count OpClassIssues.

@@ -222,8 +222,8 @@ func TestSamplerFlatInterleave(t *testing.T) {
 	}
 }
 
-// TestSamplerMachineReuse: a Machine relaunch resets the sampler
-// window, so every launch yields the identical sample stream, and the
+// TestSamplerMachineReuse: every launch of one Machine starts a fresh
+// sampler window, so each yields the identical sample stream, and the
 // sampler can be turned off per launch.
 func TestSamplerMachineReuse(t *testing.T) {
 	mod, err := ir.Parse(reduceKernel)

@@ -173,8 +173,8 @@ func (s *sim) clearTried() []uint64 {
 // until the wave retires (no warp can issue and all are done) or
 // deadlocks (no warp can issue while live lanes remain). The starvation
 // monitor scans between slots when Config.StarveLimit is set. The loop
-// performs no steady-state heap allocations: the tried bitmap is arena
-// scratch and every per-warp structure is pooled.
+// performs no steady-state heap allocations: the tried bitmap is sized
+// once per wave and every per-warp structure is built before the wave.
 func (s *sim) runResidentSched(warps []*warpState) error {
 	s.schedInit(warps)
 	var slot int64

@@ -250,7 +250,7 @@ func TestSchedMachineRelaunch(t *testing.T) {
 			}
 		}
 	}
-	// A starvation failure must not poison the arena for the next launch.
+	// A starvation failure must not affect the next launch.
 	if _, err := mc.Run(Config{Threads: 64, Seed: 1, Sched: SchedLooseFair, StarveLimit: 2000, Strict: true}); err == nil {
 		t.Fatal("OBE relaunch unexpectedly survived")
 	}

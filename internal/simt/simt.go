@@ -36,6 +36,7 @@ package simt
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"specrecon/internal/ir"
@@ -307,17 +308,16 @@ type warpState struct {
 	addrBuf  [ir.WarpWidth]int64
 }
 
-// sim is one SM's machine state plus the launch-wide immutable decode
-// tables. A flat launch runs on a single sim exactly as before the GPU
-// hierarchy existed; a grid launch forks one sim per SM (sharing the
-// module, config and decode tables, with private memory, cache, metrics
-// and budgets) and merges them deterministically in SM order.
+// sim is one SM's machine state for one launch, over the module's
+// shared decode (program). A flat launch runs on a single sim; a grid
+// launch forks one sim per SM (sharing the decode and config, with
+// private memory, cache, metrics and budgets) and merges them
+// deterministically in SM order.
 type sim struct {
-	mod     *ir.Module
-	cfg     Config
-	fnIndex map[string]int
-	// meta is the decode-time side table, indexed [fn][blk][ins].
-	meta [][][]instrMeta
+	program
+	cfg Config
+	// entryIdx is the function index of cfg.Kernel.
+	entryIdx int
 	// mem is the global-memory image (the initial template on a grid
 	// launch's root sim, a full private copy on a fullCopySM fork, nil on
 	// a CoW fork, whose view lives in cow). memLen is the image length in
@@ -354,7 +354,7 @@ type sim struct {
 	lastProgressCycle int64
 	// Scheduler-policy state (sched.go). schedRng is SchedRandom's
 	// per-SM pick stream; schedTried is the per-slot tried bitmap (one
-	// bit per resident warp, arena scratch); wallDeadline is the
+	// bit per resident warp, reused across slots); wallDeadline is the
 	// wall-clock watchdog's deadline (zero when WallBudget is off).
 	schedRng     rng.Source
 	schedTried   []uint64
@@ -368,31 +368,6 @@ type sim struct {
 	lastSampleCycle int64
 	memStallAcc     int64
 	memStallSampled int64
-	entryIdx        int
-	nbar            int
-	nregs           int
-	nfregs          int
-
-	// Launch-arena pools. Warp and CTA state objects are always recorded
-	// in these pools as they are built; poolWarp/poolCTA are the cursors
-	// into them. A fresh launch allocates through the pool (one append
-	// per object); a Machine relaunch rewinds the cursors and takeWarp/
-	// newCTA hand back the existing objects reset in place, so
-	// steady-state launches allocate (almost) nothing.
-	warpPool []*warpState
-	ctaPool  []*ctaState
-	poolWarp int
-	poolCTA  int
-	// reuse marks a Machine-owned sim: runGrid stashes its per-SM forks,
-	// event replay buffers and merge scratch on the fields below and
-	// resets them on the next launch instead of reallocating.
-	reuse         bool
-	smPool        []*sim
-	bufPool       []*bufferSink
-	sampleBufPool []*sampleBuffer
-	sharedBuf     [][]uint64
-	perSMBuf      []Metrics
-	writtenBuf    []uint64
 }
 
 // loadWord reads global-memory word a (bounds already checked).
@@ -419,8 +394,8 @@ func (s *sim) storeWord(a int64, v uint64) {
 // normalizeConfig validates cfg against m and fills in every default
 // (kernel name, CTA size, SM and worker counts, derived thread count,
 // issue budget), returning the normalized config and the global-memory
-// image size in words. newSim and Machine.Run share it so a relaunch
-// config is normalized exactly like a fresh one.
+// image size in words. NewMachine validates with it and every
+// Machine.Run launches under its result.
 func normalizeConfig(m *ir.Module, cfg Config) (Config, int, error) {
 	if cfg.Kernel == "" {
 		cfg.Kernel = m.Funcs[0].Name
@@ -500,193 +475,61 @@ func normalizeConfig(m *ir.Module, cfg Config) (Config, int, error) {
 	return cfg, memWords, nil
 }
 
-// newSim validates the module and configuration and builds the
-// launch-wide state, including the decode-time side tables the issue
-// loop runs on. Run drives it; the allocation-guard test constructs sims
-// directly to step warps by hand.
-func newSim(m *ir.Module, cfg Config) (*sim, error) {
-	if err := ir.VerifyModule(m); err != nil {
-		return nil, fmt.Errorf("simt: module invalid: %w", err)
-	}
-	cfg, memWords, err := normalizeConfig(m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	mem := make([]uint64, memWords)
-	copy(mem, cfg.Memory)
-
-	s := &sim{
-		mod:      m,
-		cfg:      cfg,
-		fnIndex:  make(map[string]int, len(m.Funcs)),
-		mem:      mem,
-		memLen:   memWords,
-		cache:    newCache(cfg.Cache.withDefaults()),
-		gridMode: cfg.Grid > 0,
-		ctaSize:  cfg.Threads,
-	}
-	for i, f := range m.Funcs {
-		s.fnIndex[f.Name] = i
-	}
-	s.meta = buildMeta(m, s.fnIndex)
-	s.entryIdx = s.fnIndex[cfg.Kernel]
-
-	s.nbar = 1
-	for _, f := range m.Funcs {
-		if n := f.MaxBarrier() + 1; n > s.nbar {
-			s.nbar = n
-		}
-	}
-	s.nregs, s.nfregs = m.MaxRegs()
-	if s.nregs < 1 {
-		s.nregs = 1
-	}
-	if s.nfregs < 1 {
-		s.nfregs = 1
-	}
-	if s.gridMode {
-		s.ctaSize = cfg.CTASize
-	} else {
-		// Flat launch: the whole launch acts as one implicit CTA, which
-		// gives ctabar and shared memory their degenerate-case meaning.
-		s.ctas = append(s.ctas, s.newCTA(0, cfg.Threads))
-	}
-	return s, nil
-}
-
-// takeWarp hands out the next warpState from the launch arena: past the
-// pool cursor it allocates (recording the object in the pool), behind it
-// — only after a Machine relaunch rewound the cursor — it rewinds the
-// existing object's per-warp state in place. Lane registers, stacks and
-// RNG streams are reinitialized per warp by resetLane.
-func (s *sim) takeWarp() *warpState {
-	if s.poolWarp < len(s.warpPool) {
-		ws := s.warpPool[s.poolWarp]
-		s.poolWarp++
-		ws.done = false
-		ws.rrCursor = 0
-		ws.lastIssueSlot = s.issues
-		ws.lastRunCycle = s.metrics.Cycles
-		for b := range ws.masks {
-			ws.masks[b] = 0
-			ws.waiting[b] = 0
-		}
-		return ws
-	}
-	ws := &warpState{sim: s}
-	for l := 0; l < ir.WarpWidth; l++ {
-		ws.lanes[l] = &lane{
-			lane:  l,
-			regs:  make([]int64, s.nregs),
-			fregs: make([]float64, s.nfregs),
-			rng:   &rng.Source{},
-		}
-	}
-	ws.masks = make([]uint32, s.nbar)
-	ws.waiting = make([]uint32, s.nbar)
-	ws.lastIssueSlot = s.issues
-	ws.lastRunCycle = s.metrics.Cycles
-	s.warpPool = append(s.warpPool, ws)
-	s.poolWarp++
-	return ws
-}
-
-// resetLane (re)initializes lane l of ws to the state a freshly
-// constructed lane would have: zero registers, empty call stack, entry
-// PC, and the RNG stream rng.Split(seed, tid) derives.
-func (ws *warpState) resetLane(l, id, cta, ctatid int, done bool) {
-	s := ws.sim
-	ln := ws.lanes[l]
-	ln.id = id
-	ln.cta = cta
-	ln.ctatid = ctatid
-	ln.pc = pcT{fn: s.entryIdx}
-	ln.status = laneRunning
-	if done {
-		ln.status = laneDone
-	}
-	ln.waitBar = 0
-	for i := range ln.regs {
-		ln.regs[i] = 0
-	}
-	for i := range ln.fregs {
-		ln.fregs[i] = 0
-	}
-	ln.stack = ln.stack[:0]
-	ln.rng.Reseed(s.cfg.Seed, uint64(id))
-}
-
-// newCTA hands out the next ctaState from the launch arena, mirroring
-// takeWarp: fresh launches allocate through the pool, Machine relaunches
-// reuse the pooled object with its shared segment zeroed in place.
-func (s *sim) newCTA(index, size int) *ctaState {
-	if s.poolCTA < len(s.ctaPool) {
-		c := s.ctaPool[s.poolCTA]
-		s.poolCTA++
-		c.index = index
-		c.live = size
-		for i := range c.shared {
-			c.shared[i] = 0
-		}
-		c.warps = c.warps[:0]
-		c.arrived = [NumCTABarriers]int32{}
-		return c
-	}
-	c := newCTAState(index, size, s.mod.SharedWords)
-	s.ctaPool = append(s.ctaPool, c)
-	s.poolCTA++
-	return c
-}
-
-// newWarp builds warp w's initial machine state on a flat launch, where
-// every warp belongs to the single implicit CTA.
-func (s *sim) newWarp(w int) *warpState {
-	ws := s.takeWarp()
-	ws.index = w
-	ws.cta = s.ctas[0]
-	ws.ctaIndex = 0
-	for l := 0; l < ir.WarpWidth; l++ {
-		tid := w*ir.WarpWidth + l
-		ws.resetLane(l, tid, 0, tid, tid >= s.cfg.Threads)
-	}
-	ws.cta.warps = append(ws.cta.warps, ws)
-	return ws
-}
-
-// newCTAWarp builds warp wi of cta on a grid launch. Lane tids are
-// CTA-relative-first: ctatid = wi*WarpWidth+lane, tid = cta*CTASize +
-// ctatid, so a CTA whose size is not a warp multiple ends with a
-// partial warp.
-func (s *sim) newCTAWarp(cta *ctaState, wi int) *warpState {
+// newWarp builds warp wi of cta. Lane tids are CTA-relative-first:
+// ctatid = wi*WarpWidth+lane, tid = cta*CTASize + ctatid, so a CTA
+// whose size is not a warp multiple ends with a partial warp. On a flat
+// launch every warp belongs to the single implicit CTA, which spans the
+// launch, so tid = ctatid. Each lane starts at the kernel entry with
+// zero registers and the RNG stream rng.Split(seed, tid) derives.
+func (s *sim) newWarp(cta *ctaState, wi int) *warpState {
 	warpsPerCTA := (s.ctaSize + ir.WarpWidth - 1) / ir.WarpWidth
-	ws := s.takeWarp()
-	ws.index = cta.index*warpsPerCTA + wi
-	ws.cta = cta
-	ws.ctaIndex = int32(cta.index)
-	for l := 0; l < ir.WarpWidth; l++ {
+	ws := &warpState{
+		sim:           s,
+		index:         cta.index*warpsPerCTA + wi,
+		cta:           cta,
+		ctaIndex:      int32(cta.index),
+		masks:         make([]uint32, s.nbar),
+		waiting:       make([]uint32, s.nbar),
+		lastIssueSlot: s.issues,
+		lastRunCycle:  s.metrics.Cycles,
+	}
+	for l := range ws.lanes {
 		ctatid := wi*ir.WarpWidth + l
-		tid := cta.index*s.ctaSize + ctatid
-		ws.resetLane(l, tid, cta.index, ctatid, ctatid >= s.ctaSize)
+		ln := &lane{
+			id:     cta.index*s.ctaSize + ctatid,
+			lane:   l,
+			cta:    cta.index,
+			ctatid: ctatid,
+			pc:     pcT{fn: s.entryIdx},
+			regs:   make([]int64, s.nregs),
+			fregs:  make([]float64, s.nfregs),
+			rng:    &rng.Source{},
+		}
+		if ctatid >= s.ctaSize {
+			ln.status = laneDone
+		}
+		ln.rng.Reseed(s.cfg.Seed, uint64(ln.id))
+		ws.lanes[l] = ln
 	}
 	cta.warps = append(cta.warps, ws)
 	return ws
 }
 
 // Run launches the module's kernel under cfg and simulates it to
-// completion. Warps are simulated one after another over the shared
-// global memory (the optimization under study is intra-warp, so
-// inter-warp timing interleaving is irrelevant; inter-warp data effects
-// via atomics are preserved).
+// completion: NewMachine followed by one Machine.Run. A grid launch
+// runs its CTAs over SMs in occupancy-limited waves; a flat launch
+// runs its warps one after another by default, or interleaved under
+// InterleaveWarps or a non-greedy Sched policy.
 func Run(m *ir.Module, cfg Config) (*Result, error) {
-	s, err := newSim(m, cfg)
+	mc, err := NewMachine(m, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return s.launch()
+	return mc.Run(cfg)
 }
 
-// launch drives one launch over s's (fresh or arena-reset) state: the
-// grid scheduler for grid configs, else one of the flat drivers.
+// launch drives one launch over s's fresh state: the grid scheduler for
+// grid configs, else one of the flat drivers.
 func (s *sim) launch() (*Result, error) {
 	if s.cfg.WallBudget > 0 {
 		s.wallDeadline = time.Now().Add(s.cfg.WallBudget)
@@ -711,7 +554,7 @@ func (s *sim) launch() (*Result, error) {
 		}
 		warps := make([]*warpState, nwarps)
 		for w := range warps {
-			warps[w] = s.newWarp(w)
+			warps[w] = s.newWarp(s.ctas[0], w)
 		}
 		if useSched {
 			// A non-greedy policy schedules the whole flat launch as one
@@ -742,10 +585,10 @@ func (s *sim) launch() (*Result, error) {
 		for w := 0; w < nwarps; w++ {
 			var err error
 			if cfg.Model == ModelStack {
-				ws := s.newWarp(w)
+				ws := s.newWarp(s.ctas[0], w)
 				err = s.runStackWarp(w, ws.lanes)
 			} else {
-				err = s.newWarp(w).run()
+				err = s.newWarp(s.ctas[0], w).run()
 			}
 			if err != nil {
 				return nil, fmt.Errorf("simt: warp %d: %w", w, err)
@@ -759,40 +602,10 @@ func (s *sim) launch() (*Result, error) {
 	s.metrics.TotalSMCycles = s.metrics.Cycles
 	s.metrics.finalize()
 	res := &Result{Metrics: s.metrics, Memory: s.mem}
-	res.Metrics.detach()
 	if s.mod.SharedWords > 0 {
 		res.Shared = [][]uint64{s.ctas[0].shared}
 	}
 	return res, nil
-}
-
-// resetForLaunch rewinds a Machine-owned sim to launch cfg: the memory
-// image is rebuilt from cfg.Memory, the cache, metrics and budgets are
-// cleared in place, and the arena cursors rewind so warp/CTA state is
-// reused instead of reallocated. cfg must already be normalized and
-// shape-compatible (Machine.Run checks).
-func (s *sim) resetForLaunch(cfg Config) {
-	s.cfg = cfg
-	n := copy(s.mem, cfg.Memory)
-	for i := n; i < len(s.mem); i++ {
-		s.mem[i] = 0
-	}
-	s.cache.reset()
-	s.metrics.reset()
-	s.issues = 0
-	s.releases = 0
-	s.lastProgressCycle = 0
-	s.wallDeadline = time.Time{}
-	s.sampleSink = nil
-	s.lastSampleCycle = 0
-	s.memStallAcc = 0
-	s.memStallSampled = 0
-	s.poolWarp = 0
-	s.poolCTA = 0
-	s.ctas = s.ctas[:0]
-	if !s.gridMode {
-		s.ctas = append(s.ctas, s.newCTA(0, cfg.Threads))
-	}
 }
 
 // run drives one warp to completion.
@@ -927,21 +740,12 @@ func (ws *warpState) pick(groups []group) group {
 	default: // PolicyMaxGroup
 		best := groups[0]
 		for _, g := range groups[1:] {
-			if popcount(g.mask) > popcount(best.mask) {
+			if bits.OnesCount32(g.mask) > bits.OnesCount32(best.mask) {
 				best = g
 			}
 		}
 		return best
 	}
-}
-
-func popcount(m uint32) int {
-	n := 0
-	for m != 0 {
-		m &= m - 1
-		n++
-	}
-	return n
 }
 
 // deadlockError builds a typed diagnostic describing why no lane can
@@ -1038,10 +842,10 @@ func (ws *warpState) releaseCheckSoft(b int, threshold int) {
 		return
 	}
 	need := threshold
-	if pm := popcount(m); pm < need {
+	if pm := bits.OnesCount32(m); pm < need {
 		need = pm
 	}
-	if popcount(w) >= need || w&m == m {
+	if bits.OnesCount32(w) >= need || w&m == m {
 		ws.release(b, w)
 		ws.masks[b] &^= w
 	}

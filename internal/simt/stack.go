@@ -2,6 +2,7 @@ package simt
 
 import (
 	"fmt"
+	"math/bits"
 
 	"specrecon/internal/cfg"
 	"specrecon/internal/ir"
@@ -139,7 +140,7 @@ func (ws *stackWarp) step() error {
 	in := &blk.Instrs[top.pc.ins]
 	im := &s.meta[top.pc.fn][top.pc.blk][top.pc.ins]
 
-	active := popcount(top.mask)
+	active := bits.OnesCount32(top.mask)
 	s.issues++
 	s.metrics.Issues++
 	s.metrics.ActiveLaneSum += int64(active)

@@ -402,17 +402,14 @@ func DOT(f *Function) string { return ir.DOT(f) }
 // Run launches a compiled module on the SIMT simulator.
 func Run(m *Module, cfg RunConfig) (*RunResult, error) { return simt.Run(m, cfg) }
 
-// Machine is a reusable simulation context: one compiled module plus a
-// fixed launch shape, relaunchable via Machine.Run with new seeds and
-// memory images at near-zero steady-state allocation cost. Sweep loops
-// (threshold studies, schedule exploration, service workloads) should
-// build one Machine per compilation instead of calling Run per point.
+// Machine is one compiled module decoded for launching: the decode runs
+// once and every Machine.Run builds fresh launch state over it, so a
+// loop that launches one compilation many times (threshold studies,
+// schedule exploration) decodes once instead of once per launch.
 type Machine = simt.Machine
 
-// NewMachine builds a reusable simulation context for m under cfg's
-// launch shape. Subsequent Machine.Run calls may vary Seed, Memory,
-// budgets and sinks, but not the shape (kernel, thread/grid geometry,
-// policy, model, cache).
+// NewMachine verifies m, validates cfg and decodes m. Machine.Run may
+// then launch any config of m; each Result owns its buffers.
 func NewMachine(m *Module, cfg RunConfig) (*Machine, error) { return simt.NewMachine(m, cfg) }
 
 // Workload access: the paper's benchmark suite (Table 2).
